@@ -27,17 +27,22 @@ namespace {
 
 using namespace lps;
 
-// Best-of-3 wall time of one measure_activity run under the given engine.
+// One activity measurement through the tape (compiled) or the LogicSim
+// reference entry point.
+sim::ActivityStats activity(const Netlist& net, bool compiled,
+                            std::size_t frames, std::uint64_t seed) {
+  return compiled ? sim::measure_activity(net, frames, seed)
+                  : sim::measure_activity_reference(net, frames, seed);
+}
+
+// Best-of-3 wall time of one activity run under the given engine.
 // Best-of (not mean) because the question is the engines' intrinsic cost
 // ratio, and the minimum is the least contaminated by scheduling noise.
 double activity_ms(const Netlist& net, bool compiled, std::size_t frames) {
-  sim::SimOptions o = sim::sim_options();
-  o.use_compiled = compiled;
-  sim::ScopedSimOptions scope(o);
   double best = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
-    auto r = sim::measure_activity(net, frames, 3);
+    auto r = activity(net, compiled, frames, 3);
     benchmark::DoNotOptimize(r.patterns);
     auto t1 = std::chrono::steady_clock::now();
     best = std::min(
@@ -60,19 +65,8 @@ void report_compiled() {
   suite.push_back({"counter16", bench::counter(16)});
   bool identical = true;
   for (const auto& [name, net] : suite) {
-    sim::SimOptions comp = sim::sim_options();
-    comp.use_compiled = true;
-    sim::SimOptions interp = comp;
-    interp.use_compiled = false;
-    sim::ActivityStats a, b;
-    {
-      sim::ScopedSimOptions s(comp);
-      a = sim::measure_activity(net, 128, 3);
-    }
-    {
-      sim::ScopedSimOptions s(interp);
-      b = sim::measure_activity(net, 128, 3);
-    }
+    sim::ActivityStats a = sim::measure_activity(net, 128, 3);
+    sim::ActivityStats b = sim::measure_activity_reference(net, 128, 3);
     bool same = a.patterns == b.patterns && a.signal_prob == b.signal_prob &&
                 a.transition_prob == b.transition_prob;
     identical = identical && same;
@@ -165,17 +159,10 @@ void report_simd() {
   // interpreter, including a register circuit for the sequential path.
   bool identical = true;
   for (const auto& [name, net] : suite) {
-    sim::ActivityStats ref;
-    {
-      sim::SimOptions o = sim::sim_options();
-      o.use_compiled = false;
-      sim::ScopedSimOptions s(o);
-      ref = sim::measure_activity(net, 128, 3);
-    }
+    sim::ActivityStats ref = sim::measure_activity_reference(net, 128, 3);
     for (auto w : widths) {
       for (std::size_t block : {std::size_t{1}, std::size_t{16}}) {
         sim::SimOptions o = sim::sim_options();
-        o.use_compiled = true;
         o.block = block;
         o.width = w;
         sim::ScopedSimOptions s(o);
@@ -197,7 +184,6 @@ void report_simd() {
   {
     auto net = bench::alu(4);
     sim::SimOptions o = sim::sim_options();
-    o.use_compiled = true;
     o.width = widest;
     sim::ScopedSimOptions s(o);
     sim::ActivityStats ref;
@@ -234,13 +220,12 @@ void report_simd() {
   if (widest != sim::SimdWidth::Scalar) {
     auto engine_ms = [&](const Netlist& net, bool compiled, sim::SimdWidth w) {
       sim::SimOptions o = sim::sim_options();
-      o.use_compiled = compiled;
       o.width = w;
       sim::ScopedSimOptions scope(o);
       double best = 1e300;
       for (int rep = 0; rep < 3; ++rep) {
         auto t0 = std::chrono::steady_clock::now();
-        auto r = sim::measure_activity(net, 2048, 3);
+        auto r = activity(net, compiled, 2048, 3);
         benchmark::DoNotOptimize(r.patterns);
         auto t1 = std::chrono::steady_clock::now();
         best = std::min(
@@ -287,7 +272,6 @@ void report_simd() {
   if (std::thread::hardware_concurrency() >= 8) {
     auto net = bench::alu(4);
     sim::SimOptions o = sim::sim_options();
-    o.use_compiled = true;
     o.width = widest;
     sim::ScopedSimOptions scope(o);
     core::ScopedPinning place(true, true);
@@ -474,12 +458,9 @@ BENCHMARK(bm_timed_par)->Arg(1)->Arg(2)->Arg(4);
 // speedup column from the pairs (same workload, only the engine differs).
 template <typename Make>
 void bm_activity_engine(benchmark::State& state, Make make, bool compiled) {
-  sim::SimOptions o = sim::sim_options();
-  o.use_compiled = compiled;
-  sim::ScopedSimOptions scope(o);
   Netlist net = make();
   for (auto _ : state) {
-    auto r = sim::measure_activity(net, 2048, 3);
+    auto r = activity(net, compiled, 2048, 3);
     benchmark::DoNotOptimize(r.patterns);
   }
 }
@@ -512,7 +493,6 @@ void bm_activity_width(benchmark::State& state, Make make, sim::SimdWidth w) {
     return;
   }
   sim::SimOptions o = sim::sim_options();
-  o.use_compiled = true;
   o.width = w;
   sim::ScopedSimOptions scope(o);
   Netlist net = make();

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 
+#include "../tests/flow_audit.hpp"
 #include "bench_util.hpp"
 #include "core/flows.hpp"
 #include "core/report.hpp"
@@ -41,16 +42,6 @@ Netlist::TouchedNodes mutate_po_driver(Netlist& net) {
   auto touched = net.touched_nodes();
   net.commit_undo();
   return touched;
-}
-
-bool stages_identical(const core::FlowResult& a, const core::FlowResult& b) {
-  if (a.stages.size() != b.stages.size()) return false;
-  for (std::size_t i = 0; i < a.stages.size(); ++i) {
-    if (a.stages[i].power_w != b.stages[i].power_w ||
-        a.stages[i].status != b.stages[i].status)
-      return false;
-  }
-  return true;
 }
 
 void report() {
@@ -93,46 +84,31 @@ void report() {
   }
   t.print(std::cout);
 
-  // ---- flow equality gate: all three flows, both estimate paths ---------
+  // ---- flow equality gate: every reported estimate of all three flows
+  // against power::analyze of the circuit it describes (flow_audit.hpp).
+  core::FlowOptions zo;
+  zo.sim_vectors = 512;
+  zo.estimate_mode = power::ActivityMode::ZeroDelay;
   bool flow_comb = true, flow_seq = true;
   for (const auto& [name, net] : bench::default_suite()) {
     if (net.num_gates() > 300) continue;  // keep the sweep quick
-    core::FlowOptions io;
-    io.sim_vectors = 512;
-    io.estimate_mode = power::ActivityMode::ZeroDelay;
-    core::FlowOptions fo = io;
-    fo.use_incremental_power = false;
-    flow_comb = flow_comb && stages_identical(core::optimize_combinational(net, io),
-                                              core::optimize_combinational(net, fo));
+    auto err = flow_audit::audit_flow(net, zo, core::optimize_combinational);
+    if (!err.empty())
+      std::cout << "E21 comb MISMATCH on " << name << ": " << err << "\n";
+    flow_comb = flow_comb && err.empty();
   }
-  {
-    core::FlowOptions io;
-    io.sim_vectors = 512;
-    io.estimate_mode = power::ActivityMode::ZeroDelay;
-    core::FlowOptions fo = io;
-    fo.use_incremental_power = false;
-    for (auto* mk : {+[] { return bench::counter(8); },
-                     +[] { return bench::shift_register(16); }}) {
-      Netlist net = mk();
-      flow_seq = flow_seq && stages_identical(core::optimize_sequential(net, io),
-                                              core::optimize_sequential(net, fo));
-    }
+  for (auto* mk : {+[] { return bench::counter(8); },
+                   +[] { return bench::shift_register(16); }}) {
+    auto err = flow_audit::audit_flow(mk(), zo, core::optimize_sequential);
+    if (!err.empty()) std::cout << "E21 seq MISMATCH: " << err << "\n";
+    flow_seq = flow_seq && err.empty();
   }
-  bool flow_fsm = true;
-  {
-    core::FlowOptions io;
-    io.sim_vectors = 256;
-    io.estimate_mode = power::ActivityMode::ZeroDelay;
-    core::FlowOptions fo = io;
-    fo.use_incremental_power = false;
-    auto stg = seq::counter_fsm(8);
-    auto a = core::optimize_fsm(stg, io);
-    auto b = core::optimize_fsm(stg, fo);
-    flow_fsm = a.power_lowpower_w == b.power_lowpower_w &&
-               a.power_gated_w == b.power_gated_w;
-  }
+  core::FlowOptions fsm_opt = zo;
+  fsm_opt.sim_vectors = 256;
+  const bool flow_fsm =
+      flow_audit::audit_fsm(seq::counter_fsm(8), fsm_opt).empty();
 
-  std::cout << "\nflow equality (incremental vs full estimates): comb "
+  std::cout << "\nflow estimates vs full analysis: comb "
             << (flow_comb ? "identical" : "DIFFERS") << ", seq "
             << (flow_seq ? "identical" : "DIFFERS") << ", fsm "
             << (flow_fsm ? "identical" : "DIFFERS") << "\n";
@@ -145,30 +121,27 @@ void report() {
   benchx::claim("E21.vectors_used", static_cast<double>(vectors_used));
 
   // ---- E22: the compiled tape must be invisible to results ---------------
-  // Incremental re-estimation and the full synthesis flow, run once per
-  // engine: same cone counters, same stage-by-stage power trajectory.
-  sim::SimOptions comp_opts = sim::sim_options();
-  comp_opts.use_compiled = true;
-  sim::SimOptions interp_opts = comp_opts;
-  interp_opts.use_compiled = false;
-
+  // Incremental re-estimation on the tape against the same update forced
+  // onto the interpreter cone path (the tape-failure fallback), and the
+  // full synthesis flow on the tape against power::analyze.
   bool inc_identical = true;
   for (auto& [name, net0] : bench::default_suite()) {
     Netlist net = std::move(net0);
     power::Analysis a, b;
     {
-      sim::ScopedSimOptions s(comp_opts);
       Netlist n = net;
       power::IncrementalAnalyzer inc(n, ao);
       auto touched = mutate_po_driver(n);
       a = inc.reanalyze(touched);
     }
     {
-      sim::ScopedSimOptions s(interp_opts);
       Netlist n = net;
       power::IncrementalAnalyzer inc(n, ao);
       auto touched = mutate_po_driver(n);
+      power::detail::force_tape_failures(1);
       b = inc.reanalyze(touched);
+      power::detail::force_tape_failures(0);
+      if (!inc.last_update().tape_fallback) b = {};  // fallback not taken
     }
     bool same = a.report.breakdown.total_w() == b.report.breakdown.total_w() &&
                 a.report.weighted_activity == b.report.weighted_activity &&
@@ -177,23 +150,9 @@ void report() {
     if (!same) std::cout << "E22 incremental MISMATCH on " << name << "\n";
   }
 
-  bool flow_compiled = true;
-  for (const auto& [name, net] : bench::default_suite()) {
-    if (net.num_gates() > 300) continue;
-    core::FlowOptions fo;
-    fo.sim_vectors = 512;
-    fo.estimate_mode = power::ActivityMode::ZeroDelay;
-    core::FlowResult rc, ri;
-    {
-      sim::ScopedSimOptions s(comp_opts);
-      rc = core::optimize_combinational(net, fo);
-    }
-    {
-      sim::ScopedSimOptions s(interp_opts);
-      ri = core::optimize_combinational(net, fo);
-    }
-    flow_compiled = flow_compiled && stages_identical(rc, ri);
-  }
+  // The flows always estimate on the tape, so the E21 combinational audit
+  // above is this check: its sweep is not repeated.
+  const bool flow_compiled = flow_comb;
   std::cout << "compiled-engine equality: incremental "
             << (inc_identical ? "identical" : "DIFFERS") << ", flow "
             << (flow_compiled ? "identical" : "DIFFERS") << "\n";
@@ -262,17 +221,17 @@ BENCHMARK(bm_reestimate_counter_inc);
 // with amortized rebuilds at the garbage bound).
 template <typename Make>
 void bm_inc_engine(benchmark::State& state, Make make, bool compiled) {
-  sim::SimOptions o = sim::sim_options();
-  o.use_compiled = compiled;
-  sim::ScopedSimOptions scope(o);
   Netlist net = make();
   auto ao = zd_options();
   power::IncrementalAnalyzer inc(net, ao);
   auto touched = mutate_po_driver(net);
+  // The interpreter arm forces every tape patch onto the fallback path.
+  if (!compiled) power::detail::force_tape_failures(1 << 30);
   for (auto _ : state) {
     const auto& a = inc.reanalyze(touched);
     benchmark::DoNotOptimize(a.report.breakdown.switching_w);
   }
+  power::detail::force_tape_failures(0);
 }
 
 void bm_reestimate_mult8_interp(benchmark::State& s) {
@@ -305,7 +264,6 @@ void bm_inc_width(benchmark::State& state, Make make, sim::SimdWidth w) {
     return;
   }
   sim::SimOptions o = sim::sim_options();
-  o.use_compiled = true;
   o.width = w;
   sim::ScopedSimOptions scope(o);
   Netlist net = make();

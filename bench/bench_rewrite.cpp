@@ -27,7 +27,6 @@
 #include "core/report.hpp"
 #include "logicopt/rewrite/engine.hpp"
 #include "netlist/benchmarks.hpp"
-#include "sim/compiled.hpp"
 #include "sim/logicsim.hpp"
 
 namespace {
@@ -67,20 +66,12 @@ void report() {
   bool sound = true;
   std::size_t sites = 0;
   for (const auto& [name, net] : family()) {
-    sim::SimTrace ref;
-    {
-      sim::ScopedSimOptions interp({.use_compiled = false});
-      ref = sim::functional_trace(net, 64, 33);
-    }
+    sim::SimTrace ref = sim::functional_trace(net, 64, 33);
     for (const auto& cand : logicopt::rewrite::match_rules(net)) {
       Netlist work = net.clone();
       if (!logicopt::rewrite::apply_rule(work, cand)) continue;
       ++sites;
-      sim::SimTrace now;
-      {
-        sim::ScopedSimOptions interp({.use_compiled = false});
-        now = sim::functional_trace(work, 64, 33);
-      }
+      sim::SimTrace now = sim::functional_trace(work, 64, 33);
       if (!(now == ref) || !work.check().empty()) {
         sound = false;
         std::cout << "UNSOUND: " << name << " rule "

@@ -18,11 +18,9 @@ constexpr std::size_t kMaxIteEntries = 1u << 20;
 }  // namespace
 
 Config default_config() {
-  static const bool complement = core::env_bool_or("LPS_BDD_COMPLEMENT", true);
   static const long trigger =
       core::env_long_or("LPS_BDD_GC_TRIGGER", 1L << 8, 1L << 26, 1L << 15);
   Config c;
-  c.complement_edges = complement;
   c.gc_trigger = static_cast<std::size_t>(trigger);
   return c;
 }

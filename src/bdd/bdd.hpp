@@ -16,7 +16,8 @@
 //    two polarities of the single terminal at node index 0.
 //    `Config::complement_edges = false` disables the normalization and the
 //    complement-based ITE canonicalization, reproducing the historical
-//    two-terminal manager's structure for differential tests.
+//    two-terminal manager's structure: the seed encoding the canonicity
+//    test and the E27 footprint baseline compare against.
 //
 //  * reference-counted roots + mark-and-sweep garbage collection.  ref() /
 //    deref() pin externally held functions; gc() sweeps everything
@@ -79,11 +80,11 @@ struct NodeLimitExceeded : std::runtime_error {
   NodeLimitExceeded() : std::runtime_error("BDD node limit exceeded") {}
 };
 
-/// Manager construction knobs.  default_config() seeds complement_edges
-/// and gc_trigger from the LPS_BDD_COMPLEMENT / LPS_BDD_GC_TRIGGER
-/// environment knobs (parsed once through core/env); auto_gc always
-/// defaults to off — opting in is the caller's promise that it roots
-/// everything it holds across public calls (build_bdds does).
+/// Manager construction knobs.  default_config() keeps complement edges on
+/// and seeds gc_trigger from the LPS_BDD_GC_TRIGGER environment knob
+/// (parsed once through core/env); auto_gc always defaults to off — opting
+/// in is the caller's promise that it roots everything it holds across
+/// public calls (build_bdds does).
 struct Config {
   /// Bounds *live* nodes (free-listed ones don't count).
   std::size_t node_limit = 4u << 20;
@@ -92,14 +93,14 @@ struct Config {
   /// Live-node threshold that arms automatic collection.
   std::size_t gc_trigger = std::size_t{1} << 15;
 };
-/// Environment-seeded defaults (LPS_BDD_* knobs).
+/// Defaults with the environment-seeded gc_trigger (LPS_BDD_GC_TRIGGER).
 Config default_config();
 
 class Manager {
  public:
   explicit Manager(unsigned num_vars, const Config& config);
   /// Historical constructor: default_config() with `node_limit` overridden
-  /// (complement edges per LPS_BDD_COMPLEMENT, no auto-GC).
+  /// (complement edges on, no auto-GC).
   explicit Manager(unsigned num_vars, std::size_t node_limit = 4u << 20);
   /// Flushes the bdd.* counters (see header comment) and counts
   /// bdd.managers.

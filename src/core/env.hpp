@@ -1,7 +1,7 @@
 // env.hpp — hardened environment-knob parsing.
 //
-// Every process knob in this library (LPS_THREADS, LPS_SIM_COMPILED,
-// LPS_SIM_BLOCK, and the service's LPS_SOAK_MS) used to be parsed ad hoc at
+// Every process knob in this library (LPS_THREADS, LPS_SIM_BLOCK,
+// LPS_SIM_WIDTH, and the service's LPS_SOAK_MS) used to be parsed ad hoc at
 // its sampling site, and malformed values were swallowed silently: "LPS_
 // THREADS=8x" or "LPS_SIM_BLOCK=banana" behaved exactly like the variable
 // being unset, which is the worst failure mode for an operator debugging a

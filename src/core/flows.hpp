@@ -30,10 +30,10 @@ struct StageReport {
   /// transform threw or broke the circuit — rolled back; see note).
   std::string status = "kept";
   std::string note;  // diagnostic text when status == "failed"
-  /// Incremental-estimate instrumentation (use_incremental_power only):
-  /// nodes re-simulated for this stage's estimate vs. what a full
-  /// re-analysis evaluates.  Equal on full fallbacks (e.g. Timed mode);
-  /// both 0 when the stage failed before estimation or on the legacy path.
+  /// Incremental-estimate instrumentation: nodes re-simulated for this
+  /// stage's estimate vs. what a full re-analysis evaluates.  Equal on full
+  /// fallbacks (e.g. Timed mode); both 0 when the stage failed before
+  /// estimation or the estimate degraded past the cone update.
   std::size_t resim_nodes = 0;
   std::size_t full_nodes = 0;
   /// Journal epochs actually rewound while this stage ran, measured from
@@ -60,18 +60,13 @@ struct FlowOptions {
   bool run_bdd_synth = true;
   bool run_balance = true;
   bool run_sizing = true;
-  /// Activity source for the between-stage estimates.  Timed (default)
-  /// keeps the glitch-aware reports the survey's Eqn. (1) story is told
-  /// with; ZeroDelay trades glitch visibility for cone-scoped incremental
-  /// re-estimation (power/incremental.hpp) inside the stage loop.
+  /// Activity source for the between-stage estimates, which go through
+  /// IncrementalAnalyzer (power/incremental.hpp) and are bit-identical to a
+  /// full power::analyze of each stage's circuit.  Timed (default) keeps
+  /// the glitch-aware reports the survey's Eqn. (1) story is told with, at
+  /// a full re-run per stage (recorded in power.inc.* metrics); ZeroDelay
+  /// trades glitch visibility for cone-scoped re-estimation.
   power::ActivityMode estimate_mode = power::ActivityMode::Timed;
-  /// Route between-stage estimates through IncrementalAnalyzer.  The
-  /// result is bit-identical to per-stage full power::analyze runs (cone
-  /// updates in ZeroDelay mode; Timed mode falls back to full runs,
-  /// recorded in power.inc.* metrics).  false = legacy per-stage full
-  /// analysis, kept for differential testing — mirroring
-  /// PassManager::Options::use_undo_log.
-  bool use_incremental_power = true;
   /// Candidate-scoring worker threads for the optimization engines
   /// (logicopt/speculate.hpp) — routed into the datapath rewrite and
   /// window-resynthesis stages.  Speculative scoring is bit-identical to

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
@@ -9,7 +10,6 @@
 #include "logicopt/path_balance.hpp"
 #include "logicopt/speculate.hpp"
 #include "netlist/validate.hpp"
-#include "power/incremental.hpp"
 #include "sim/logicsim.hpp"
 
 namespace lps::core {
@@ -20,167 +20,188 @@ bool all_ok(const std::vector<PassRecord>& records) {
   return true;
 }
 
+TransformGuard::TransformGuard(Netlist& net, std::string scope,
+                               std::size_t verify_frames,
+                               std::uint64_t verify_seed,
+                               bool check_invariants,
+                               std::optional<power::AnalysisOptions> estimate)
+    : net_(net),
+      scope_(std::move(scope)),
+      verify_frames_(verify_frames),
+      verify_seed_(verify_seed),
+      check_invariants_(check_invariants),
+      estimate_(std::move(estimate)) {
+  if (!estimate_) return;
+  try {
+    inc_.emplace(net_, *estimate_);
+  } catch (const CancelledError&) {
+    throw;  // deadline during the baseline: abort the whole pipeline
+  } catch (const std::exception&) {
+    // Degraded but alive: estimates fall back to full analyze().
+    metrics::count(scope_ + ".estimate_fallback");
+  }
+}
+
+const power::Analysis& TransformGuard::analysis() {
+  if (inc_) return inc_->analysis();
+  if (!full_) full_ = power::analyze(net_, *estimate_);
+  return *full_;
+}
+
+void TransformGuard::drop_analyzer() {
+  inc_.reset();
+  full_.reset();
+  metrics::count(scope_ + ".estimate_dropped");
+}
+
+TransformGuard::Result TransformGuard::run(
+    const std::function<std::string(Netlist&)>& transform,
+    const std::function<bool(double)>& keep) {
+  Netlist& net = net_;
+  Result res;
+  sim::SimTrace ref;
+  if (verify_frames_ > 0)
+    ref = sim::functional_trace(net, verify_frames_, verify_seed_);
+  net.begin_undo();
+  // The transform's epoch depth.  A transform may open nested epochs of its
+  // own (the optimization engines journal each candidate); one that dies
+  // with an inner epoch still open must be unwound down TO this depth — a
+  // single rollback_undo() would pop only the innermost candidate epoch and
+  // leave the transform half-applied.
+  const std::size_t base_depth = net.undo_depth();
+  auto unwind = [&net, base_depth] {
+    while (net.undo_depth() >= base_depth) net.rollback_undo();
+  };
+  std::optional<diag::Diagnostic> failure;
+  try {
+    res.summary = transform(net);
+    // A transform that *returns* with inner epochs open is also a defect,
+    // but a benign one: absorb them into this epoch (the checks below
+    // still guard the result) and record the smell.
+    while (net.undo_depth() > base_depth) {
+      metrics::count(scope_ + ".stray_epochs");
+      net.commit_undo();
+    }
+    if (check_invariants_) {
+      diag::DiagEngine eng(4);
+      if (validate(net, eng) > 0) {
+        failure = *eng.first_error();
+        failure->message = "broke netlist invariants: " + failure->message;
+      }
+    }
+    if (!failure && verify_frames_ > 0 &&
+        sim::functional_trace(net, verify_frames_, verify_seed_) != ref)
+      failure = {diag::Severity::Error, "changed circuit function", {}};
+  } catch (const CancelledError&) {
+    // Deadline fired inside the transform: restore the pre-transform state
+    // and abort — cancellation is not a transform defect.
+    unwind();
+    throw;
+  } catch (const diag::DiagError& e) {
+    failure = e.diagnostic();
+    failure->message = "threw: " + failure->message;
+  } catch (const std::exception& e) {
+    failure = {diag::Severity::Error, std::string("threw: ") + e.what(), {}};
+  }
+  if (failure) {
+    // The estimator was never advanced, so it still describes the restored
+    // circuit.
+    unwind();
+    res.outcome = Outcome::Failed;
+    res.failure = std::move(*failure);
+    return res;
+  }
+  if (!estimate_) {
+    net.commit_undo();
+    return res;
+  }
+
+  // Estimate the transformed circuit while its epoch is open: the touched
+  // set scopes the cone update, and a cancellation rolls the transform back
+  // (the estimator restores its own caches before throwing).
+  std::optional<power::Analysis> full_after;
+  bool can_revert = false;  // does the analyzer hold a revertable snapshot?
+  try {
+    if (inc_) {
+      try {
+        inc_->reanalyze(net.touched_nodes());
+        res.resim_nodes = inc_->last_update().resim_nodes;
+        res.full_nodes = inc_->last_update().live_nodes;
+        can_revert = true;
+      } catch (const CancelledError&) {
+        throw;
+      } catch (const std::exception&) {
+        metrics::count(scope_ + ".estimate_fallback");
+        try {
+          inc_->rebaseline();
+        } catch (const CancelledError&) {
+          throw;
+        } catch (const std::exception&) {
+          drop_analyzer();
+        }
+      }
+    }
+    if (!inc_) full_after = power::analyze(net, *estimate_);
+  } catch (const CancelledError&) {
+    unwind();
+    throw;
+  }
+  const double after_w =
+      (inc_ ? inc_->analysis() : *full_after).report.breakdown.total_w();
+  if (!keep || keep(after_w)) {
+    net.commit_undo();
+    if (full_after) full_ = std::move(full_after);
+    return res;
+  }
+  unwind();
+  res.outcome = Outcome::Reverted;
+  if (inc_) {
+    try {
+      // A rebaselined estimate left no snapshot to pop; rebuild against the
+      // restored circuit instead.
+      if (can_revert)
+        inc_->revert_last();
+      else
+        inc_->rebaseline();
+    } catch (const CancelledError&) {
+      throw;  // circuit already restored; estimator caches are clean
+    } catch (const std::exception&) {
+      drop_analyzer();
+    }
+  }
+  return res;
+}
+
 std::vector<PassRecord> PassManager::run(Netlist& net) const {
   std::vector<PassRecord> records;
   // Scope the speculation worker default over the whole pipeline so passes
   // constructed with default engine options pick it up.
   std::optional<logicopt::speculate::ScopedWorkers> spec_workers;
   if (opt_.opt_workers > 0) spec_workers.emplace(opt_.opt_workers);
-  const bool guard_needed =
-      opt_.verify || opt_.check_invariants || opt_.rollback;
-  const bool use_undo = guard_needed && opt_.use_undo_log;
-  const bool use_snapshot = guard_needed && !opt_.use_undo_log;
-  // Per-pass power estimates ride the same mutation journal rollback uses:
-  // a successful pass's touched set scopes the re-simulation to its fanout
-  // cone, and a rolled-back pass leaves the cached baseline valid as-is.
-  std::optional<power::IncrementalAnalyzer> analyzer;
-  if (opt_.estimate_power && opt_.use_incremental_power) {
-    try {
-      analyzer.emplace(net, opt_.estimate);
-    } catch (const CancelledError&) {
-      throw;  // deadline during the baseline: abort the whole pipeline
-    } catch (const std::exception&) {
-      // Degraded but alive: per-pass estimates fall back to full analyze().
-      metrics::count("pass.estimate_fallback");
-    }
-  }
-  // Estimate degradation ladder: a failed incremental re-estimate never
-  // fails the pass (the rewrite itself already committed and verified).
-  // Rung 1 is the cone update; rung 2 rebuilds the whole baseline; rung 3
-  // drops the analyzer so the per-pass estimate below becomes a full
-  // power::analyze().  Cancellation is different in kind — a deadline, not
-  // an estimator defect — and aborts the pipeline instead of degrading it;
-  // reanalyze()/rebaseline() restore the analyzer's caches before throwing,
-  // so nothing is left half-updated.
-  auto reestimate = [&](const Netlist::TouchedNodes& touched) {
-    try {
-      analyzer->reanalyze(touched);
-      return;
-    } catch (const CancelledError&) {
-      throw;
-    } catch (const std::exception&) {
-      metrics::count("pass.estimate_fallback");
-    }
-    try {
-      analyzer->rebaseline();
-    } catch (const CancelledError&) {
-      throw;
-    } catch (const std::exception&) {
-      analyzer.reset();
-      metrics::count("pass.estimate_dropped");
-    }
-  };
+  std::optional<power::AnalysisOptions> estimate;
+  if (opt_.estimate_power) estimate = opt_.estimate;
+  TransformGuard guard(net, "pass", opt_.verify ? opt_.verify_vectors : 0,
+                       opt_.verify_seed, opt_.check_invariants, estimate);
   for (const auto& p : passes_) {
     metrics::ScopedTimer timer("pass." + p->name(), /*trace=*/true);
     metrics::count("pass.runs");
-    Netlist before = use_snapshot ? net.clone() : Netlist{};
     PassRecord rec;
     rec.pass = p->name();
-
-    // Functional reference for the undo-log path: a trace digest of the
-    // pre-pass circuit replaces keeping the circuit itself alive.
-    sim::SimTrace ref;
-    std::size_t base_depth = 0;
-    if (use_undo) {
-      if (opt_.verify)
-        ref = sim::functional_trace(net, opt_.verify_vectors, opt_.verify_seed);
-      net.begin_undo();
-      base_depth = net.undo_depth();
-    }
-
-    // A failing pass may leave the netlist half-rewritten or structurally
-    // corrupt — possibly with nested undo epochs of its own still open
-    // (e.g. a candidate loop that died mid-probe).  Every failure path
-    // unwinds the journal down to and including the pass epoch; a single
-    // rollback_undo() would pop only the innermost epoch and restore a
-    // half-applied pass.
-    auto unwind_pass = [&net, base_depth] {
-      while (net.undo_depth() >= base_depth) net.rollback_undo();
-    };
-    auto fail = [&](diag::Diagnostic d) {
-      if (use_undo)
-        unwind_pass();
-      else if (use_snapshot)
-        net = std::move(before);
+    auto r = guard.run([&p](Netlist& n) { return p->run(n); });
+    rec.summary = std::move(r.summary);
+    if (r.outcome == TransformGuard::Outcome::Failed) {
       rec.ok = false;
       rec.rolled_back = true;
-      rec.diag = std::move(d);
+      rec.diag = std::move(r.failure);
+      rec.diag.message = "pass " + rec.pass + " " + rec.diag.message;
       if (!opt_.rollback) throw diag::CheckError(rec.diag);
-    };
-
-    try {
-      rec.summary = p->run(net);
-      // A pass that returns with inner epochs open is a (benign) defect:
-      // absorb them into the pass epoch so verification and commit see one
-      // coherent journal level.
-      while (use_undo && net.undo_depth() > base_depth) {
-        metrics::count("pass.stray_epochs");
-        net.commit_undo();
-      }
-      if (opt_.check_invariants) {
-        diag::DiagEngine eng(4);
-        if (validate(net, eng) > 0) {
-          diag::Diagnostic d = *eng.first_error();
-          d.message =
-              "pass " + p->name() + " broke netlist invariants: " + d.message;
-          fail(std::move(d));
-        }
-      }
-      if (rec.ok && opt_.verify) {
-        bool same =
-            use_undo
-                ? sim::functional_trace(net, opt_.verify_vectors,
-                                        opt_.verify_seed) == ref
-                : sim::equivalent_random(before, net, opt_.verify_vectors,
-                                         opt_.verify_seed);
-        if (!same) {
-          fail({diag::Severity::Error,
-                "pass " + p->name() + " changed circuit function",
-                {}});
-        } else {
-          rec.verified = true;
-        }
-      }
-    } catch (const diag::DiagError& e) {
-      if (!rec.ok) throw;  // rethrown by fail() in strict mode
-      fail(e.diagnostic());
-    } catch (const CancelledError&) {
-      // Deadline fired inside the pass body: restore the pre-pass state and
-      // abort the pipeline — cancellation is not a pass defect and must not
-      // be swallowed as one.
-      if (use_undo)
-        unwind_pass();
-      else if (use_snapshot)
-        net = std::move(before);
-      throw;
-    } catch (const std::exception& e) {
-      fail({diag::Severity::Error,
-            "pass " + p->name() + " threw: " + e.what(),
-            {}});
+    } else {
+      rec.verified = opt_.verify;
     }
-    if (use_undo && rec.ok) {
-      if (analyzer) {
-        // Touched set must be read while the undo epoch is still open.
-        auto touched = net.touched_nodes();
-        net.commit_undo();
-        reestimate(touched);
-      } else {
-        net.commit_undo();
-      }
-    } else if (analyzer && rec.ok) {
-      // No journal (snapshot or unguarded run): full re-baseline.
-      Netlist::TouchedNodes all;
-      all.all = true;
-      reestimate(all);
-    }
-    if (opt_.estimate_power) {
-      // Rolled-back passes restored the pre-pass circuit, which the cached
-      // analysis still describes.
-      rec.power_w =
-          analyzer
-              ? analyzer->analysis().report.breakdown.total_w()
-              : power::analyze(net, opt_.estimate).report.breakdown.total_w();
-    }
+    // Rolled-back passes restored the pre-pass circuit, which the estimate
+    // still describes.
+    if (opt_.estimate_power)
+      rec.power_w = guard.analysis().report.breakdown.total_w();
     if (rec.rolled_back) metrics::count("pass.rolled_back");
     if (rec.verified) metrics::count("pass.verified");
     records.push_back(std::move(rec));

@@ -12,17 +12,18 @@
 // Options::rollback = false to get the old abort-on-first-failure behavior
 // (the failure is then rethrown as diag::CheckError).
 //
-// Rollback is implemented with the Netlist mutation journal
-// (begin_undo/rollback_undo): restoring a failed pass costs O(edit size)
-// instead of a whole-netlist deep copy per pass.  Function verification
-// compares a pre-pass functional_trace() digest against the post-pass one,
-// so no pre-pass clone is kept alive.  Options::use_undo_log = false
-// selects the legacy snapshot path (kept for differential testing).
+// Every pass runs under a TransformGuard, the same guard the flows
+// (flows.hpp) run each stage under: the pass is journaled in one Netlist
+// undo epoch (rollback costs O(edit size), not a whole-netlist copy), its
+// function is checked against a pre-pass functional_trace() digest (no
+// pre-pass clone is kept alive), and the journal's touched set scopes the
+// per-pass power estimate to the pass's fanout cone.
 
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "logicopt/rewrite/engine.hpp"
 #include "netlist/netlist.hpp"
 #include "power/activity.hpp"
+#include "power/incremental.hpp"
 
 namespace lps::core {
 
@@ -70,6 +72,64 @@ struct PassRecord {
 /// True when every record succeeded.
 bool all_ok(const std::vector<PassRecord>& records);
 
+/// The measured-keep guard shared by PassManager::run (per pass) and the
+/// flow stage loop (flows.cpp, per stage).  run() applies one transform
+/// inside a fresh journal epoch and then:
+///   - absorbs any inner epochs the transform left open (counted as
+///     `<scope>.stray_epochs`) into that epoch;
+///   - checks netlist invariants and the function against a pre-transform
+///     functional_trace() digest;
+///   - on any failure, a throw, or cancellation, unwinds the journal to and
+///     including its epoch, so no half-applied transform survives (a
+///     cancellation is rethrown, never recorded as a failure);
+///   - estimates power with the epoch still open (the touched set scopes
+///     the cone update) and commits or rolls back per the caller's keep
+///     policy.
+/// Estimates degrade instead of failing a transform: cone update → full
+/// rebaseline (`<scope>.estimate_fallback`) → drop the analyzer for
+/// full power::analyze runs (`<scope>.estimate_dropped`).
+class TransformGuard {
+ public:
+  enum class Outcome { Kept, Reverted, Failed };
+  struct Result {
+    Outcome outcome = Outcome::Kept;
+    std::string summary;        // what the transform returned
+    diag::Diagnostic failure;   // why the transform was rolled back (Failed)
+    /// Nodes the estimate re-simulated vs what a full re-analysis
+    /// evaluates; both 0 unless a cone update ran.
+    std::size_t resim_nodes = 0;
+    std::size_t full_nodes = 0;
+  };
+
+  /// Guard transforms of `net`.  `scope` prefixes the guard's metrics.
+  /// `verify_frames` == 0 skips the function check.  With `estimate` set,
+  /// the guard keeps a power estimate of `net` across transforms.
+  TransformGuard(Netlist& net, std::string scope, std::size_t verify_frames,
+                 std::uint64_t verify_seed, bool check_invariants,
+                 std::optional<power::AnalysisOptions> estimate);
+
+  /// Apply `transform` under the guard.  `keep` sees the estimated power
+  /// after the transform and decides commit (true) or rollback (false);
+  /// without it (or without an estimate) a passing transform is kept.
+  Result run(const std::function<std::string(Netlist&)>& transform,
+             const std::function<bool(double)>& keep = {});
+
+  /// Estimate of the circuit as it stands (requires an `estimate`).
+  const power::Analysis& analysis();
+
+ private:
+  void drop_analyzer();
+
+  Netlist& net_;
+  std::string scope_;
+  std::size_t verify_frames_;
+  std::uint64_t verify_seed_;
+  bool check_invariants_;
+  std::optional<power::AnalysisOptions> estimate_;
+  std::optional<power::IncrementalAnalyzer> inc_;
+  std::optional<power::Analysis> full_;  // full-analyze estimate, cached
+};
+
 class PassManager {
  public:
   struct Options {
@@ -77,22 +137,16 @@ class PassManager {
     bool verify = true;
     /// Run the structural invariant checker after every pass.
     bool check_invariants = true;
-    /// Contain failures: restore the snapshot and keep going.  When false a
-    /// failing pass rethrows (diag::CheckError) after restoring the input.
+    /// Contain failures: restore the pre-pass state and keep going.  When
+    /// false a failing pass rethrows (diag::CheckError) after restoring the
+    /// input.
     bool rollback = true;
-    /// Roll back via the Netlist mutation journal (O(edit size)); false
-    /// uses the legacy whole-netlist snapshot (O(circuit size)).  Both
-    /// restore the identical pre-pass state.
-    bool use_undo_log = true;
     std::size_t verify_vectors = 1024;
     std::uint64_t verify_seed = 0xABCD;
-    /// Record an estimated power number on every PassRecord.
+    /// Record an estimated power number on every PassRecord, through the
+    /// cone-scoped incremental analyzer (power/incremental.hpp) fed by the
+    /// pass epoch's touched set.
     bool estimate_power = false;
-    /// Estimates go through the cone-scoped incremental analyzer
-    /// (power/incremental.hpp), fed by the same mutation journal rollback
-    /// uses; false selects a full power::analyze per pass — bit-identical
-    /// results, kept for differential testing (like use_undo_log).
-    bool use_incremental_power = true;
     /// Analysis options for the per-pass estimate (estimate_power only).
     power::AnalysisOptions estimate;
     /// Candidate-scoring worker threads for optimization passes that go

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "bdd/bdd_netlist.hpp"
+#include "core/metrics.hpp"
 
 namespace lps::logicopt {
 
@@ -174,6 +175,12 @@ DontCareResult optimize_dontcare(Netlist& net,
     // Symbolic analysis outgrew the budget: keep whatever rewrites landed
     // before the blowup (each was applied atomically, so the netlist is
     // consistent and equivalent).
+    res.bdd_limited = true;
+    core::metrics::count("logicopt.dontcare.bdd_limited");
+  }
+  if (!res.bdd_limited && changed && rewrites >= opt.max_rewrites) {
+    res.capped = true;
+    core::metrics::count("logicopt.dontcare.capped");
   }
   res.gates_after = net.num_gates();
   return res;

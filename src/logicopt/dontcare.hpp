@@ -37,9 +37,17 @@ struct DontCareResult {
   int merges = 0;
   std::size_t gates_before = 0;
   std::size_t gates_after = 0;
+  /// The symbolic analysis outgrew DontCareOptions::bdd_limit; the pass
+  /// stopped there, keeping the rewrites already applied
+  /// (logicopt.dontcare.bdd_limited).
+  bool bdd_limited = false;
+  /// The pass stopped at DontCareOptions::max_rewrites before reaching a
+  /// fixpoint (logicopt.dontcare.capped).
+  bool capped = false;
 };
 
-/// Run ODC-based rewriting until fixpoint (or the rewrite cap).  Preserves
+/// Run ODC-based rewriting until fixpoint, the rewrite cap, or the BDD
+/// budget; the result says which (capped / bdd_limited).  Preserves
 /// I/O behaviour exactly; callers can verify with bdd::equivalent_bdd.
 /// `toggles_per_cycle` supplies per-node activities for the power-aware
 /// candidate ranking (e.g. from sim::measure_activity on the same net).

@@ -9,7 +9,6 @@
 #include "core/metrics.hpp"
 #include "logicopt/speculate.hpp"
 #include "power/incremental.hpp"
-#include "sim/compiled.hpp"
 #include "sim/logicsim.hpp"
 
 namespace lps::logicopt::rewrite {
@@ -88,13 +87,11 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
   // of O(netlist x frames).
   const std::uint64_t base_digest = oracle.outputs_digest();
 
-  // The full-trace reference (interpreter engine) backs the belt-and-braces
+  // The full-trace reference (LogicSim) backs the belt-and-braces
   // verify_full mode only; default runs never pay for it.
   sim::SimTrace ref;
-  if (opt.verify_full) {
-    sim::ScopedSimOptions interp({.use_compiled = false});
+  if (opt.verify_full)
     ref = sim::functional_trace(net, opt.verify_frames, opt.verify_seed);
-  }
 
   PendingTouched pending;
   auto sync_oracle = [&] {
@@ -134,15 +131,9 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
     bool keep = d.delta_w < -opt.min_gain_w;
     if (keep) {
       bool mismatch = oracle.outputs_digest() != base_digest;
-      if (!mismatch && opt.verify_full) {
-        sim::SimTrace now;
-        {
-          sim::ScopedSimOptions interp({.use_compiled = false});
-          now = sim::functional_trace(net, opt.verify_frames,
-                                      opt.verify_seed);
-        }
-        mismatch = now != ref;
-      }
+      if (!mismatch && opt.verify_full)
+        mismatch = sim::functional_trace(net, opt.verify_frames,
+                                         opt.verify_seed) != ref;
       if (mismatch || detail::consume(detail::g_force_unsound)) {
         ++res.unsound;
         core::metrics::count("logicopt.rewrite.unsound");
@@ -284,15 +275,9 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
       bool keep = sc.keep;
       if (keep) {
         bool mismatch = !sc.sound;
-        if (!mismatch && opt.verify_full) {
-          sim::SimTrace now;
-          {
-            sim::ScopedSimOptions interp({.use_compiled = false});
-            now = sim::functional_trace(net, opt.verify_frames,
-                                        opt.verify_seed);
-          }
-          mismatch = now != ref;
-        }
+        if (!mismatch && opt.verify_full)
+          mismatch = sim::functional_trace(net, opt.verify_frames,
+                                           opt.verify_seed) != ref;
         if (mismatch || detail::consume(detail::g_force_unsound)) {
           ++res.unsound;
           core::metrics::count("logicopt.rewrite.unsound");

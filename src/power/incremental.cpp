@@ -101,14 +101,10 @@ void IncrementalAnalyzer::run_full() {
     }
     // Fresh compact tape for the cone updates (patched per mutation from
     // here on).
-    if (sim::sim_options().use_compiled) {
-      if (csim_)
-        csim_->rebuild();
-      else
-        csim_.emplace(*net_);
-    } else {
-      csim_.reset();
-    }
+    if (csim_)
+      csim_->rebuild();
+    else
+      csim_.emplace(*net_);
   } else {
     // Timed mode keeps no per-frame cache; every update is a full run.
     analysis_ = analyze(*net_, opt_);
@@ -177,35 +173,30 @@ const Analysis& IncrementalAnalyzer::reanalyze(
   auto mask = net.fanout_cone_of(touched.value_roots, /*through_dffs=*/true);
 
   // Engine selection.  The compiled tape persists across updates and is
-  // patched from the same touched-node report (O(edit)); the interpreted
-  // engine re-walks the topo order per call (O(netlist)).  Both produce
-  // bit-identical cone words, so the splice below is engine-agnostic —
-  // which is also why a tape failure can degrade to the interpreter
-  // mid-call without changing the result: the tape is dropped (recompiled
-  // lazily next update), the failure is counted, and the update proceeds.
-  bool compiled_path = sim::sim_options().use_compiled;
+  // patched from the same touched-node report (O(edit)).  If the patch
+  // fails, the update falls back to LogicSim, which re-walks the topo order
+  // (O(netlist)).  Both produce bit-identical cone words, so the splice
+  // below is engine-agnostic and the fallback changes no result: the tape
+  // is dropped (recompiled lazily next update), the failure is counted, and
+  // the update proceeds.
+  bool compiled_path = true;
   std::optional<sim::LogicSim> isim;
   sim::ConeSchedule sched;
-  if (compiled_path) {
-    try {
-      if (detail::consume_forced_tape_failure())
-        throw std::runtime_error("injected compiled-tape failure (chaos)");
-      if (csim_)
-        csim_->update(touched);
-      else
-        csim_.emplace(net);
-      sched = csim_->cone_schedule(mask);
-    } catch (const std::exception&) {
-      // The tape may be partially patched and can no longer be trusted to
-      // mirror the netlist; discard it and fall back to the interpreter.
-      csim_.reset();
-      compiled_path = false;
-      last_.tape_fallback = true;
-      core::metrics::count("power.inc.tape_fallback");
-    }
-  }
-  if (!compiled_path) {
+  try {
+    if (detail::consume_forced_tape_failure())
+      throw std::runtime_error("injected compiled-tape failure (chaos)");
+    if (csim_)
+      csim_->update(touched);
+    else
+      csim_.emplace(net);
+    sched = csim_->cone_schedule(mask);
+  } catch (const std::exception&) {
+    // The tape may be partially patched and can no longer be trusted to
+    // mirror the netlist; discard it and fall back to the interpreter.
     csim_.reset();
+    compiled_path = false;
+    last_.tape_fallback = true;
+    core::metrics::count("power.inc.tape_fallback");
     isim.emplace(net);
     sched = isim->cone_schedule(mask);
   }

@@ -185,9 +185,10 @@ class IncrementalAnalyzer {
   Analysis analysis_;
   sim::ActivityTrace trace_;  // ZeroDelay frame/counter cache
   bool have_trace_ = false;
-  // Persistent compiled tape (SimOptions::use_compiled): patched in place
-  // from each mutation's touched-node report instead of recompiled, so a
-  // pass loop pays O(edit) per candidate, not O(netlist).
+  // Persistent compiled tape (ZeroDelay mode): patched in place from each
+  // mutation's touched-node report instead of recompiled, so a pass loop
+  // pays O(edit) per candidate, not O(netlist).  Reset when a patch fails;
+  // that update then runs on LogicSim and the next one recompiles.
   std::optional<sim::CompiledSim> csim_;
   UpdateStats last_;
   std::optional<Snapshot> snap_;

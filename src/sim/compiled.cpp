@@ -23,10 +23,9 @@ SimOptions& sim_options() {
   static SimOptions opt = [] {
     SimOptions o;
     // Malformed values are rejected with positioned diagnostics on stderr
-    // and fall back to the defaults (core/env.hpp) — "LPS_SIM_COMPILED=off"
-    // or "LPS_SIM_BLOCK=banana" no longer silently pass as defaults without
-    // telling the operator their knob did nothing.
-    o.use_compiled = core::env_bool_or("LPS_SIM_COMPILED", o.use_compiled);
+    // and fall back to the defaults (core/env.hpp) — "LPS_SIM_BLOCK=banana"
+    // no longer silently passes as the default without telling the
+    // operator their knob did nothing.
     o.block = normalize_block(static_cast<std::size_t>(core::env_long_or(
         "LPS_SIM_BLOCK", 1, 16, static_cast<long>(o.block))));
     // Choice indices line up with the SimdWidth enumerators; a request the

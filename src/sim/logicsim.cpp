@@ -310,17 +310,21 @@ ActivityStats stats_from_counts(std::span<const std::uint64_t> ones,
   return st;
 }
 
-ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
-                               std::uint64_t seed,
-                               std::span<const double> pi_one_prob,
-                               ActivityTrace* capture,
-                               const core::CancelToken* cancel) {
+namespace {
+
+// The Monte Carlo activity loop behind both entry points: `compiled`
+// picks the engine that evaluates each shard (the tape or the LogicSim
+// reference); the shard plan, seeds, counting rules and merge order are
+// shared, which is what makes the two bit-identical.
+ActivityStats drive_activity(const Netlist& net, std::size_t n_frames,
+                             std::uint64_t seed,
+                             std::span<const double> pi_one_prob,
+                             ActivityTrace* capture,
+                             const core::CancelToken* cancel, bool compiled) {
   auto dffs = net.dffs();
-  const SimOptions opts = sim_options();
-  const bool compiled = opts.use_compiled;
   // Sequential streams carry state frame to frame: no lane blocking.
   const std::size_t block =
-      dffs.empty() ? normalize_block(opts.block) : 1;
+      dffs.empty() ? normalize_block(sim_options().block) : 1;
 
   // Sequential nets form one continuous state trajectory — one shard.
   // Combinational frame streams are iid and shard freely; the plan depends
@@ -428,6 +432,27 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
     capture->seam_patterns = seams * 64;
   }
   return st;
+}
+
+}  // namespace
+
+ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
+                               std::uint64_t seed,
+                               std::span<const double> pi_one_prob,
+                               ActivityTrace* capture,
+                               const core::CancelToken* cancel) {
+  return drive_activity(net, n_frames, seed, pi_one_prob, capture, cancel,
+                        /*compiled=*/true);
+}
+
+ActivityStats measure_activity_reference(const Netlist& net,
+                                         std::size_t n_frames,
+                                         std::uint64_t seed,
+                                         std::span<const double> pi_one_prob,
+                                         ActivityTrace* capture,
+                                         const core::CancelToken* cancel) {
+  return drive_activity(net, n_frames, seed, pi_one_prob, capture, cancel,
+                        /*compiled=*/false);
 }
 
 bool equivalent_random(const Netlist& a, const Netlist& b,

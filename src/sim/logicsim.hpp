@@ -139,6 +139,17 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
                                ActivityTrace* capture = nullptr,
                                const core::CancelToken* cancel = nullptr);
 
+/// The reference model for measure_activity(): the same shard plan, seeds
+/// and counting rules, with every shard evaluated gate by gate through
+/// LogicSim instead of the compiled tape (sim/compiled.hpp).  Results are
+/// bit-identical to measure_activity(); tests and benches call it directly
+/// as the differential baseline and the speedup denominator.  Slower, and
+/// never used by an optimization or estimation path.
+ActivityStats measure_activity_reference(
+    const Netlist& net, std::size_t n_frames, std::uint64_t seed,
+    std::span<const double> pi_one_prob = {}, ActivityTrace* capture = nullptr,
+    const core::CancelToken* cancel = nullptr);
+
 /// Random-vector combinational equivalence check: simulates both networks on
 /// the same input stream (inputs matched by position) and compares outputs
 /// (matched by position).  Returns true if no mismatch over n_frames*64

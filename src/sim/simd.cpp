@@ -75,7 +75,6 @@ std::size_t simd_lane_words(SimdWidth w) {
 
 std::string engine_desc() {
   const SimOptions& o = sim_options();
-  if (!o.use_compiled) return "interp";
   return std::string("tape[") + simd_name(resolve_simd(o.width)) + ",b" +
          std::to_string(o.block) + "]";
 }

@@ -14,7 +14,7 @@
 //
 // Width selection never changes results: every kernel build computes
 // bit-identical value words (the contract in kernels_impl.hpp), so
-// LPS_SIM_WIDTH trades only speed, exactly like LPS_SIM_COMPILED and
+// LPS_SIM_WIDTH trades only speed, exactly like LPS_SIM_BLOCK and
 // LPS_THREADS.  tests/test_simd.cpp pins this differentially.
 
 #pragma once
@@ -55,7 +55,7 @@ const char* simd_name(SimdWidth w);
 std::size_t simd_lane_words(SimdWidth w);
 
 /// One-line description of the currently configured zero-delay engine,
-/// e.g. "tape[avx512,b16]" or "interp" — attached to power::Analysis so
+/// e.g. "tape[avx512,b16]" — attached to power::Analysis so
 /// reports and service responses say which code path produced a number.
 std::string engine_desc();
 

@@ -6,7 +6,8 @@
 // be bit-identical to the interpreted engine's, at any blocking factor and
 // any thread count.  The suite drives both engines over the benchmark
 // circuits (including the shapes the tape specializes: 2-input gates,
-// constants, MUXes, >64-fanin folds, load-enabled registers), patches the
+// constants, MUXes, >64-fanin folds, load-enabled registers) against the
+// LogicSim reference (sim::measure_activity_reference), patches the
 // tape through mutation undo epochs, and pins the SimOptions plumbing.
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 
 #include "core/flows.hpp"
 #include "core/parallel.hpp"
+#include "flow_audit.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/incremental.hpp"
 #include "sim/compiled.hpp"
@@ -29,24 +31,19 @@ using namespace lps;
 
 sim::SimOptions compiled_opts(std::size_t block = 8) {
   sim::SimOptions o;
-  o.use_compiled = true;
   o.block = block;
   return o;
 }
 
-sim::SimOptions interpreted_opts() {
-  sim::SimOptions o;
-  o.use_compiled = false;
-  return o;
-}
-
-// Per-engine activity measurement of the same workload.
+// Per-engine activity measurement of the same workload: the tape, or the
+// LogicSim reference (sim::measure_activity_reference).
 sim::ActivityStats measure_with(const Netlist& net, bool compiled,
                                 std::size_t frames, std::uint64_t seed,
                                 std::size_t block = 8,
                                 sim::ActivityTrace* cap = nullptr) {
-  sim::ScopedSimOptions guard(compiled ? compiled_opts(block)
-                                       : interpreted_opts());
+  if (!compiled)
+    return sim::measure_activity_reference(net, frames, seed, {}, cap);
+  sim::ScopedSimOptions guard(compiled_opts(block));
   return sim::measure_activity(net, frames, seed, {}, cap);
 }
 
@@ -210,8 +207,8 @@ TEST(Compiled, ThreadCountInvariance) {
   // And interpreted == compiled at a non-trivial thread count.
   {
     core::ScopedThreads st(4);
-    sim::ScopedSimOptions g2(interpreted_opts());
-    expect_stats_identical(sim::measure_activity(net, 512, 23), runs[0]);
+    expect_stats_identical(sim::measure_activity_reference(net, 512, 23),
+                           runs[0]);
   }
 }
 
@@ -344,16 +341,21 @@ TEST(Compiled, IncrementalReanalyzeIdenticalAcrossEngines) {
     ao.mode = power::ActivityMode::ZeroDelay;
     ao.n_vectors = 1024;
 
+    // The interpreter cone path is the tape-failure fallback: force the
+    // tape patch to fail so inc_i's update runs through LogicSim.
     Netlist net_c = base, net_i = base;
     sim::ScopedSimOptions gc(compiled_opts());
     power::IncrementalAnalyzer inc_c(net_c, ao);
     {
-      sim::ScopedSimOptions gi(interpreted_opts());
       power::IncrementalAnalyzer inc_i(net_i, ao);
       auto tc = splice_po_driver(net_c);
       auto ti = splice_po_driver(net_i);
       inc_c.reanalyze(tc);
+      power::detail::force_tape_failures(1);
       inc_i.reanalyze(ti);
+      power::detail::force_tape_failures(0);
+      EXPECT_TRUE(inc_i.last_update().tape_fallback);
+      EXPECT_FALSE(inc_c.last_update().tape_fallback);
       EXPECT_EQ(inc_c.analysis().toggles_per_cycle,
                 inc_i.analysis().toggles_per_cycle);
       EXPECT_EQ(inc_c.analysis().report.breakdown.switching_w,
@@ -398,28 +400,15 @@ TEST(Compiled, IncrementalRevertRestoresTapeAndAnalysis) {
 }
 
 TEST(Compiled, FlowResultsIdenticalAcrossEngines) {
-  // End-to-end: the optimization flows must be trajectory-identical under
-  // either engine (estimates gate accept/revert decisions, so any frame
-  // divergence would change the kept-stage sequence).
-  auto base = bench::alu(4);
+  // End-to-end: every estimate the flow reports on the tape (which gates
+  // its accept/revert decisions) must equal a full power::analyze of the
+  // circuit it describes (tests/flow_audit.hpp).
   core::FlowOptions fo;
   fo.sim_vectors = 512;
-  core::FlowResult rc, ri;
-  {
-    sim::ScopedSimOptions g(compiled_opts());
-    Netlist n = base;
-    rc = core::optimize_combinational(n, fo);
-  }
-  {
-    sim::ScopedSimOptions g(interpreted_opts());
-    Netlist n = base;
-    ri = core::optimize_combinational(n, fo);
-  }
-  ASSERT_EQ(rc.stages.size(), ri.stages.size());
-  for (std::size_t i = 0; i < rc.stages.size(); ++i) {
-    EXPECT_EQ(rc.stages[i].power_w, ri.stages[i].power_w) << "stage " << i;
-    EXPECT_EQ(rc.stages[i].status, ri.stages[i].status) << "stage " << i;
-  }
+  sim::ScopedSimOptions g(compiled_opts());
+  EXPECT_EQ(flow_audit::audit_flow(bench::alu(4), fo,
+                                   core::optimize_combinational),
+            "");
 }
 
 // ---- options plumbing -----------------------------------------------------
@@ -435,10 +424,9 @@ TEST(Compiled, NormalizeBlockAndScopedOptions) {
 
   const sim::SimOptions saved = sim::sim_options();
   {
-    sim::ScopedSimOptions g(interpreted_opts());
-    EXPECT_FALSE(sim::sim_options().use_compiled);
+    sim::ScopedSimOptions g(compiled_opts(2));
+    EXPECT_EQ(sim::sim_options().block, 2u);
   }
-  EXPECT_EQ(sim::sim_options().use_compiled, saved.use_compiled);
   EXPECT_EQ(sim::sim_options().block, saved.block);
 }
 

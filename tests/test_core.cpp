@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/flows.hpp"
+#include "core/metrics.hpp"
 #include "core/pass.hpp"
 #include "core/report.hpp"
 #include "netlist/benchmarks.hpp"
@@ -90,6 +91,51 @@ TEST(PassManager, RollsBackThrowingPass) {
   EXPECT_NE(records[0].diag.message.find("boom"), std::string::npos);
   EXPECT_TRUE(records[1].ok);
   EXPECT_TRUE(sim::equivalent_random(golden, net, 1024, 99));
+}
+
+TEST(PassManager, StrayEpochsAreAbsorbedCheckedAndUnwound) {
+  // Passes that return with two inner undo epochs still open.  The guard
+  // absorbs both into the pass epoch (counted as pass.stray_epochs), still
+  // verifies the result, and unwinds a function change made inside them
+  // in full.  The flow stage loop runs on the same guard.
+  auto net = bench::c17();
+  const std::uint64_t h0 = structural_hash(net);
+  PassManager pm(true);
+  pm.add("leaky-saboteur", [](Netlist& n) {
+    n.begin_undo();
+    NodeId out = n.outputs()[0];
+    n.substitute(out, n.add_not(out));
+    n.begin_undo();
+    n.add_not(n.inputs()[0]);
+    return std::string("flipped an output inside two open epochs");
+  });
+  const double stray0 = metrics::value("pass.stray_epochs");
+  auto records = pm.run(net);
+  EXPECT_EQ(metrics::value("pass.stray_epochs") - stray0, 2.0);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_FALSE(records[0].ok);
+  EXPECT_TRUE(records[0].rolled_back);
+  EXPECT_NE(records[0].diag.message.find("changed circuit function"),
+            std::string::npos);
+  EXPECT_EQ(net.undo_depth(), 0u);
+  EXPECT_EQ(structural_hash(net), h0);
+  EXPECT_EQ(net.check(), "");
+
+  // A function-preserving leaky pass is kept, with the journal closed.
+  PassManager keep(true);
+  keep.add("leaky-noop", [](Netlist& n) {
+    n.begin_undo();
+    n.begin_undo();
+    n.add_not(n.inputs()[0]);  // dead logic: function unchanged
+    return std::string("two epochs left open");
+  });
+  const double stray1 = metrics::value("pass.stray_epochs");
+  records = keep.run(net);
+  EXPECT_EQ(metrics::value("pass.stray_epochs") - stray1, 2.0);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].ok);
+  EXPECT_TRUE(records[0].verified);
+  EXPECT_EQ(net.undo_depth(), 0u);
 }
 
 TEST(Report, TableAligns) {

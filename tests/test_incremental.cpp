@@ -6,8 +6,8 @@
 // re-simulating only the touched fanout cone.  Supporting layers are pinned
 // too: Netlist::fanout_cone_of / cone_of on reconvergent, multi-output and
 // register-crossing topologies, touched_nodes() across undo epochs,
-// LogicSim::eval_cone_into splicing, and the flow/pass integration
-// (incremental and legacy full estimates must agree exactly).
+// LogicSim::eval_cone_into splicing, and the flow/pass integration (every
+// reported estimate must equal a full analysis of its circuit exactly).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "core/flows.hpp"
 #include "core/metrics.hpp"
 #include "core/pass.hpp"
+#include "flow_audit.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/incremental.hpp"
 #include "sim/logicsim.hpp"
@@ -431,48 +432,32 @@ TEST(Analysis, VectorsUsedReportsFrameRounding) {
 
 // ---- flow / pass integration ----------------------------------------------
 
-void expect_same_stages(const core::FlowResult& a, const core::FlowResult& b) {
-  ASSERT_EQ(a.stages.size(), b.stages.size());
-  for (std::size_t i = 0; i < a.stages.size(); ++i) {
-    EXPECT_EQ(a.stages[i].stage, b.stages[i].stage);
-    EXPECT_EQ(a.stages[i].power_w, b.stages[i].power_w) << a.stages[i].stage;
-    EXPECT_EQ(a.stages[i].status, b.stages[i].status) << a.stages[i].stage;
-    EXPECT_EQ(a.stages[i].gates, b.stages[i].gates);
-  }
-}
-
+// The flows' incremental estimates against power::analyze of the circuit
+// each stage report describes (tests/flow_audit.hpp).
 TEST(FlowIncremental, CombinationalMatchesLegacyZeroDelay) {
-  auto net = bench::alu(4);
-  core::FlowOptions inc_opt;
-  inc_opt.estimate_mode = power::ActivityMode::ZeroDelay;
-  inc_opt.use_incremental_power = true;
-  core::FlowOptions full_opt = inc_opt;
-  full_opt.use_incremental_power = false;
-  expect_same_stages(core::optimize_combinational(net, inc_opt),
-                     core::optimize_combinational(net, full_opt));
+  core::FlowOptions opt;
+  opt.estimate_mode = power::ActivityMode::ZeroDelay;
+  EXPECT_EQ(flow_audit::audit_flow(bench::alu(4), opt,
+                                   core::optimize_combinational),
+            "");
 }
 
 TEST(FlowIncremental, CombinationalMatchesLegacyTimed) {
-  auto net = bench::carry_select_adder(8, 4);
-  core::FlowOptions inc_opt;  // Timed default
-  inc_opt.sim_vectors = 256;
-  core::FlowOptions full_opt = inc_opt;
-  full_opt.use_incremental_power = false;
-  expect_same_stages(core::optimize_combinational(net, inc_opt),
-                     core::optimize_combinational(net, full_opt));
+  core::FlowOptions opt;  // Timed default
+  opt.sim_vectors = 256;
+  EXPECT_EQ(flow_audit::audit_flow(bench::carry_select_adder(8, 4), opt,
+                                   core::optimize_combinational),
+            "");
 }
 
 TEST(FlowIncremental, SequentialFlowMatchesLegacy) {
   auto net = bench::counter(6);
-  core::FlowOptions inc_opt;
-  inc_opt.estimate_mode = power::ActivityMode::ZeroDelay;
-  inc_opt.sim_vectors = 512;
-  core::FlowOptions full_opt = inc_opt;
-  full_opt.use_incremental_power = false;
-  auto a = core::optimize_sequential(net, inc_opt);
-  auto b = core::optimize_sequential(net, full_opt);
-  expect_same_stages(a, b);
+  core::FlowOptions opt;
+  opt.estimate_mode = power::ActivityMode::ZeroDelay;
+  opt.sim_vectors = 512;
+  EXPECT_EQ(flow_audit::audit_flow(net, opt, core::optimize_sequential), "");
   // The gating stage ran (kept, reverted, or failed — but present).
+  auto a = core::optimize_sequential(net, opt);
   EXPECT_EQ(a.stages.back().stage.rfind("selfloop-gate", 0), 0u);
 }
 
@@ -502,52 +487,52 @@ TEST(FlowIncremental, LocalStageSavesFiveFoldNodeEvals) {
 }
 
 TEST(PassIncremental, EstimatesMatchLegacyAndSurviveRollback) {
+  // No-op probe passes record a full power::analyze of the circuit between
+  // the real passes; each pass's incremental estimate (the broken one's
+  // after its rollback) must equal the probe that follows it.
   auto net = bench::alu(4);
   core::PassManager::Options opt;
   opt.estimate_power = true;
   opt.estimate.mode = power::ActivityMode::ZeroDelay;
-  core::PassManager pm_inc(opt);
-  pm_inc.add(core::make_dontcare_pass());
-  pm_inc.add("broken", [](Netlist& n) -> std::string {
+  core::PassManager pm(opt);
+  std::vector<double> probed;
+  auto probe = [&] {
+    pm.add("probe", [&probed, &opt](Netlist& n) {
+      probed.push_back(
+          power::analyze(n, opt.estimate).report.breakdown.total_w());
+      return std::string("probed");
+    });
+  };
+  probe();
+  pm.add(core::make_dontcare_pass());
+  probe();
+  pm.add("broken", [](Netlist& n) -> std::string {
     n.remove(n.outputs()[0]);  // removing a PO driver breaks invariants
     return "boom";
   });
-  pm_inc.add(core::make_sweep_pass());
-  auto net_inc = net.clone();
-  auto rec_inc = pm_inc.run(net_inc);
+  probe();
+  pm.add(core::make_sweep_pass());
+  probe();
+  auto rec = pm.run(net);
 
-  opt.use_incremental_power = false;
-  core::PassManager pm_full(opt);
-  pm_full.add(core::make_dontcare_pass());
-  pm_full.add("broken", [](Netlist& n) -> std::string {
-    n.remove(n.outputs()[0]);
-    return "boom";
-  });
-  pm_full.add(core::make_sweep_pass());
-  auto net_full = net.clone();
-  auto rec_full = pm_full.run(net_full);
-
-  ASSERT_EQ(rec_inc.size(), rec_full.size());
-  for (std::size_t i = 0; i < rec_inc.size(); ++i) {
-    EXPECT_EQ(rec_inc[i].ok, rec_full[i].ok) << rec_inc[i].pass;
-    EXPECT_EQ(rec_inc[i].power_w, rec_full[i].power_w) << rec_inc[i].pass;
+  ASSERT_EQ(rec.size(), 7u);
+  ASSERT_EQ(probed.size(), 4u);
+  for (std::size_t i = 1; i < rec.size(); i += 2) {
+    EXPECT_EQ(rec[i].power_w, probed[(i + 1) / 2]) << rec[i].pass;
+    EXPECT_EQ(rec[i + 1].power_w, probed[(i + 1) / 2]) << rec[i].pass;
   }
-  EXPECT_FALSE(rec_inc[1].ok);  // the broken pass rolled back
-  EXPECT_GT(rec_inc[2].power_w, 0.0);
+  EXPECT_EQ(rec[0].power_w, probed[0]);
+  EXPECT_FALSE(rec[3].ok);  // the broken pass rolled back
+  EXPECT_GT(rec[5].power_w, 0.0);
 }
 
 TEST(FsmFlow, GatedPowerReportedIdenticallyBothPaths) {
   auto stg = seq::counter_fsm(8);
-  core::FlowOptions inc_opt;
-  inc_opt.sim_vectors = 256;
-  inc_opt.estimate_mode = power::ActivityMode::ZeroDelay;
-  core::FlowOptions full_opt = inc_opt;
-  full_opt.use_incremental_power = false;
-  auto a = core::optimize_fsm(stg, inc_opt);
-  auto b = core::optimize_fsm(stg, full_opt);
-  EXPECT_EQ(a.power_lowpower_w, b.power_lowpower_w);
-  EXPECT_EQ(a.power_gated_w, b.power_gated_w);
-  EXPECT_GT(a.power_gated_w, 0.0);
+  core::FlowOptions opt;
+  opt.sim_vectors = 256;
+  opt.estimate_mode = power::ActivityMode::ZeroDelay;
+  EXPECT_EQ(flow_audit::audit_fsm(stg, opt), "");
+  EXPECT_GT(core::optimize_fsm(stg, opt).power_gated_w, 0.0);
 }
 
 // The whole generated suite: one local mutation per circuit, exact equality.

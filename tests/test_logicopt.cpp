@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bdd/bdd_netlist.hpp"
+#include "core/metrics.hpp"
 #include "logicopt/dontcare.hpp"
 #include "logicopt/library.hpp"
 #include "logicopt/path_balance.hpp"
@@ -44,6 +45,40 @@ TEST(DontCare, PreservesFunctionOnSuite) {
     EXPECT_TRUE(sim::equivalent_random(net, work, 256, 5)) << name;
     EXPECT_EQ(work.check(), "") << name;
   }
+}
+
+TEST(DontCare, BddLimitAndRewriteCapAreReported) {
+  auto net = bench::alu(4);
+  auto st = sim::measure_activity(net, 64, 2);
+  Netlist full = net.clone();
+  auto res_full = optimize_dontcare(full, st.transition_prob);
+  EXPECT_FALSE(res_full.bdd_limited);
+  EXPECT_FALSE(res_full.capped);
+  ASSERT_GE(res_full.const_replacements + res_full.merges, 2);
+
+  // A budget too small for the global BDDs stops the pass before any
+  // rewrite, and says so.
+  core::metrics::reset();
+  Netlist tiny = net.clone();
+  DontCareOptions small;
+  small.bdd_limit = 8;
+  auto res_tiny = optimize_dontcare(tiny, st.transition_prob, small);
+  EXPECT_TRUE(res_tiny.bdd_limited);
+  EXPECT_FALSE(res_tiny.capped);
+  EXPECT_EQ(res_tiny.const_replacements + res_tiny.merges, 0);
+  EXPECT_EQ(core::metrics::value("logicopt.dontcare.bdd_limited"), 1.0);
+  EXPECT_TRUE(sim::equivalent_random(net, tiny, 256, 5));
+
+  // A rewrite cap short of the fixpoint stops the pass and says so.
+  Netlist capped = net.clone();
+  DontCareOptions one;
+  one.max_rewrites = 1;
+  auto res_cap = optimize_dontcare(capped, st.transition_prob, one);
+  EXPECT_TRUE(res_cap.capped);
+  EXPECT_FALSE(res_cap.bdd_limited);
+  EXPECT_EQ(res_cap.const_replacements + res_cap.merges, 1);
+  EXPECT_EQ(core::metrics::value("logicopt.dontcare.capped"), 1.0);
+  EXPECT_TRUE(sim::equivalent_random(net, capped, 256, 5));
 }
 
 TEST(DontCare, NoFalsePositivesOnIrredundantCircuit) {

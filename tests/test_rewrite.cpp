@@ -39,11 +39,9 @@ using logicopt::rewrite::match_rules;
 using logicopt::rewrite::RewriteOptions;
 using logicopt::rewrite::rewrite_datapath;
 
+// functional_trace always evaluates through LogicSim, the reference model.
 sim::SimTrace interp_trace(const Netlist& net, std::size_t frames = 64,
                            std::uint64_t seed = 33) {
-  sim::SimOptions o;
-  o.use_compiled = false;
-  sim::ScopedSimOptions guard(o);
   core::ScopedThreads t1(1);
   return sim::functional_trace(net, frames, seed);
 }
@@ -80,7 +78,6 @@ TEST(RewriteRules, EveryMatchSiteIsExactAcrossWidthsAndThreads) {
       for (sim::SimdWidth w : {sim::SimdWidth::Scalar, sim::SimdWidth::Auto}) {
         for (unsigned threads : {1u, 4u}) {
           sim::SimOptions o;
-          o.use_compiled = true;
           o.width = w;
           sim::ScopedSimOptions guard(o);
           core::ScopedThreads t(threads);
@@ -255,15 +252,17 @@ TEST(RewriteEngine, KeptSequenceInvariantAcrossSimEnginesAndThreads) {
   Netlist b = a.clone();
   logicopt::rewrite::RewriteResult ra, rb;
   {
-    sim::SimOptions o;
-    o.use_compiled = false;
-    sim::ScopedSimOptions guard(o);
+    // Every oracle update through the interpreter cone path (the tape
+    // failure fallback), on one thread.
     core::ScopedThreads t(1);
+    const double fallbacks = core::metrics::value("power.inc.tape_fallback");
+    power::detail::force_tape_failures(1 << 30);
     ra = rewrite_datapath(a);
+    power::detail::force_tape_failures(0);
+    EXPECT_GT(core::metrics::value("power.inc.tape_fallback"), fallbacks);
   }
   {
     sim::SimOptions o;
-    o.use_compiled = true;
     o.width = sim::SimdWidth::Auto;
     sim::ScopedSimOptions guard(o);
     core::ScopedThreads t(4);

@@ -337,20 +337,20 @@ TEST(ServiceEnv, LongParsesAndRejects) {
 
 TEST(ServiceEnv, BoolSpellingsAreClosed) {
   for (const char* t : {"1", "true"}) {
-    auto p = core::parse_env_bool("LPS_SIM_COMPILED", t, false);
+    auto p = core::parse_env_bool("LPS_BDD_SYNTH_SIFT", t, false);
     EXPECT_TRUE(p.ok) << t;
     EXPECT_EQ(p.value, 1) << t;
   }
   for (const char* t : {"0", "false"}) {
-    auto p = core::parse_env_bool("LPS_SIM_COMPILED", t, true);
+    auto p = core::parse_env_bool("LPS_BDD_SYNTH_SIFT", t, true);
     EXPECT_TRUE(p.ok) << t;
     EXPECT_EQ(p.value, 0) << t;
   }
   for (const char* t : {"TRUE", "yes", "on", "2", " 1", ""}) {
-    auto p = core::parse_env_bool("LPS_SIM_COMPILED", t, true);
+    auto p = core::parse_env_bool("LPS_BDD_SYNTH_SIFT", t, true);
     EXPECT_FALSE(p.ok) << t;
     EXPECT_EQ(p.value, 1) << t;  // default
-    EXPECT_EQ(p.status.diagnostic().loc.file, "$LPS_SIM_COMPILED");
+    EXPECT_EQ(p.status.diagnostic().loc.file, "$LPS_BDD_SYNTH_SIFT");
   }
 }
 

@@ -45,7 +45,6 @@ std::vector<sim::SimdWidth> runnable_widths() {
 
 sim::SimOptions tape_opts(sim::SimdWidth w, std::size_t block) {
   sim::SimOptions o;
-  o.use_compiled = true;
   o.block = block;
   o.width = w;
   return o;
@@ -93,12 +92,6 @@ TEST(Simd, EngineDescReflectsOptions) {
   {
     sim::ScopedSimOptions guard(tape_opts(sim::SimdWidth::Scalar, 4));
     EXPECT_EQ(sim::engine_desc(), "tape[scalar,b4]");
-  }
-  {
-    sim::SimOptions o;
-    o.use_compiled = false;
-    sim::ScopedSimOptions guard(o);
-    EXPECT_EQ(sim::engine_desc(), "interp");
   }
   {
     sim::ScopedSimOptions guard(tape_opts(sim::SimdWidth::Auto, 16));
@@ -185,11 +178,8 @@ TEST(Simd, PlacementPolicyNeverChangesResults) {
   auto net = bench::alu(4);
   sim::ActivityStats ref;
   {
-    sim::SimOptions o;
-    o.use_compiled = false;
-    sim::ScopedSimOptions guard(o);
     core::ScopedThreads t1(1);
-    ref = sim::measure_activity(net, 512, 99);
+    ref = sim::measure_activity_reference(net, 512, 99);
   }
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     for (bool pin : {false, true}) {
@@ -218,11 +208,9 @@ TEST(Simd, MatrixIdenticalToInterpreterOnSuite) {
   for (auto& [name, net] : suite) {
     sim::ActivityStats ref;
     {
-      sim::SimOptions o;
-      o.use_compiled = false;
-      sim::ScopedSimOptions guard(o);
       core::ScopedThreads t1(1);
-      ref = sim::measure_activity(net, frames, 0xD15C0 + net.size());
+      ref = sim::measure_activity_reference(net, frames,
+                                            0xD15C0 + net.size());
     }
     for (sim::SimdWidth w : runnable_widths()) {
       for (std::size_t block : {std::size_t{1}, std::size_t{4},
@@ -263,13 +251,7 @@ TEST(Simd, SequentialNetsIdenticalAcrossWidths) {
   // scalar/narrow instantiations inside each kernel build) — the counters
   // must still match the interpreter at every width.
   auto net = bench::counter(16);
-  sim::ActivityStats ref;
-  {
-    sim::SimOptions o;
-    o.use_compiled = false;
-    sim::ScopedSimOptions guard(o);
-    ref = sim::measure_activity(net, 256, 21);
-  }
+  sim::ActivityStats ref = sim::measure_activity_reference(net, 256, 21);
   for (sim::SimdWidth w : runnable_widths()) {
     sim::ScopedSimOptions guard(tape_opts(w, 16));
     auto st = sim::measure_activity(net, 256, 21);
@@ -386,12 +368,6 @@ TEST(Simd, AnalysisReportsEngineString) {
   {
     sim::ScopedSimOptions guard(tape_opts(sim::SimdWidth::Scalar, 8));
     EXPECT_EQ(power::analyze(net, opt).engine, "tape[scalar,b8]");
-  }
-  {
-    sim::SimOptions o;
-    o.use_compiled = false;
-    sim::ScopedSimOptions guard(o);
-    EXPECT_EQ(power::analyze(net, opt).engine, "interp");
   }
   opt.mode = power::ActivityMode::Timed;
   EXPECT_EQ(power::analyze(net, opt).engine, "eventsim");
