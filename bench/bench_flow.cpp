@@ -28,7 +28,6 @@ void report() {
   double saving_min = 1.0, saving_max = -1.0;
   bool all_equiv = true;
   for (const auto& [name, net] : bench::default_suite()) {
-    if (net.num_gates() > 300) continue;  // keep the sweep quick
     core::FlowOptions opt;
     opt.sim_vectors = 1024;
     auto r = core::optimize_combinational(net, opt);

@@ -225,14 +225,16 @@ std::unique_ptr<Pass> make_sweep_pass() {
   });
 }
 
-std::unique_ptr<Pass> make_dontcare_pass() {
-  return std::make_unique<FnPass>("dontcare", [](Netlist& net) {
+std::unique_ptr<Pass> make_dontcare_pass(logicopt::DontCareOptions opt) {
+  return std::make_unique<FnPass>("dontcare", [opt](Netlist& net) {
     auto st = sim::measure_activity(net, 64, 7);
-    auto res = logicopt::optimize_dontcare(net, st.transition_prob);
+    auto res = logicopt::optimize_dontcare(net, st.transition_prob, opt);
     return "consts " + std::to_string(res.const_replacements) + ", merges " +
            std::to_string(res.merges) + ", gates " +
            std::to_string(res.gates_before) + " -> " +
-           std::to_string(res.gates_after);
+           std::to_string(res.gates_after) +
+           (res.bdd_limited ? ", stopped at bdd_limit" : "") +
+           (res.capped ? ", stopped at max_rewrites" : "");
   });
 }
 

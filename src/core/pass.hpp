@@ -29,6 +29,7 @@
 
 #include "core/diag.hpp"
 #include "logicopt/bdd_synth.hpp"
+#include "logicopt/dontcare.hpp"
 #include "logicopt/rewrite/engine.hpp"
 #include "netlist/netlist.hpp"
 #include "power/activity.hpp"
@@ -181,7 +182,9 @@ class PassManager {
 // Ready-made passes over this library's techniques.
 std::unique_ptr<Pass> make_strash_pass();
 std::unique_ptr<Pass> make_sweep_pass();
-std::unique_ptr<Pass> make_dontcare_pass();
+/// ODC rewriting (logicopt/dontcare.hpp).  The summary names a stop at
+/// the rewrite cap or the BDD budget, so neither reads like a fixpoint.
+std::unique_ptr<Pass> make_dontcare_pass(logicopt::DontCareOptions opt = {});
 std::unique_ptr<Pass> make_balance_pass(int buffer_budget = -1);  // -1 = full
 /// Power-driven datapath rewriting (logicopt/rewrite/engine.hpp).  The
 /// engine journals each candidate in a nested undo epoch, which composes

@@ -5,15 +5,39 @@
 // utilizing the don't-care sets" (Shen et al. [38], improved by Iman &
 // Pedram [19] which considers the transitive fanout).
 //
-// We implement the exact-ODC form of the idea: for each node n the ODC set
-// is computed symbolically (replace n by a fresh BDD variable y and compare
-// output cofactors).  Within the ODC freedom the node is replaced by
+// We implement the exact-ODC form of the idea: for each node n the care
+// set is the set of input assignments on which flipping n changes some
+// root (a PO, a Dff D input or a Dff enable) in n's transitive fanout.
+// Within the ODC freedom the node is replaced by
 //   - a constant, when the care set pins it;
 //   - an existing signal g (possibly a fanin), when f_n and f_g agree on the
 //     care set and the swap reduces activity-weighted capacitance.
 // Each accepted rewrite removes the node's switched capacitance entirely —
 // the activity-directed selection among admissible rewrites is exactly the
 // power-vs-area distinction [38] draws against classic don't-care methods.
+//
+// Filter, then prove.  Almost every candidate is inadmissible, and a
+// simulation pattern on which flipping n changes a root is a concrete care
+// point that proves it: the pass simulates a fixed-seed pattern block on
+// the compiled tape, flips n, re-executes only n's fanout cone, and drops
+// every replacement that disagrees with n on a care pattern.  Only the
+// survivors reach the symbolic check, which decides on canonical BDD
+// equality: a replacement agrees with n on n's care set exactly when
+// substituting its function for n leaves every root's function unchanged,
+// so the check propagates the substitution through the gates it changes
+// and stops at the first changed root.  A survivor the BDDs reject yields
+// a counterexample (a care point where the replacement differs), which
+// joins the pattern block so it filters the next time.  One BDD manager
+// serves the whole pass: after a rewrite only the fanout cone of the
+// rewired gates is re-derived.
+//
+// The scan restarts from the top of the new topological order after each
+// accepted rewrite.  That keeps the decision sequence, and so the result,
+// bit-identical to the BDD-only pass (tests/dontcare_reference.hpp) wherever
+// neither outgrows bdd_limit, and it is cheap because a rejected
+// candidate costs one cone simulation.  Counters: logicopt.dontcare.
+// {candidates, sim_rejected, bdd_checked, cex_added} per candidate, and
+// bdd_limited / capped per pass.
 
 #pragma once
 

@@ -31,6 +31,33 @@ TEST(PassManager, RunsAndVerifies) {
   EXPECT_EQ(net.check(), "");
 }
 
+// A don't-care pass stopped by its BDD budget or rewrite cap says so in
+// its summary instead of reading like a fixpoint.
+TEST(PassManager, DontCareSummaryReportsEarlyStops) {
+  auto run = [](logicopt::DontCareOptions opt) {
+    auto net = bench::alu(4);
+    PassManager pm(/*verify=*/true);
+    pm.add(make_dontcare_pass(opt));
+    auto records = pm.run(net);
+    EXPECT_TRUE(records.at(0).verified);
+    return records.at(0).summary;
+  };
+  auto fixpoint = run({});
+  EXPECT_EQ(fixpoint.find("stopped"), std::string::npos) << fixpoint;
+  logicopt::DontCareOptions tiny;
+  tiny.bdd_limit = 8;
+  auto limited = run(tiny);
+  EXPECT_NE(limited.find("stopped at bdd_limit"), std::string::npos)
+      << limited;
+  EXPECT_EQ(limited.find("max_rewrites"), std::string::npos) << limited;
+  logicopt::DontCareOptions one;
+  one.max_rewrites = 1;
+  auto capped = run(one);
+  EXPECT_NE(capped.find("stopped at max_rewrites"), std::string::npos)
+      << capped;
+  EXPECT_EQ(capped.find("bdd_limit"), std::string::npos) << capped;
+}
+
 TEST(PassManager, RollsBackFunctionBreakingPassAndContinues) {
   auto net = bench::c17();
   auto golden = net.clone();

@@ -5,6 +5,7 @@
 
 #include "bdd/bdd_netlist.hpp"
 #include "core/metrics.hpp"
+#include "dontcare_reference.hpp"
 #include "logicopt/dontcare.hpp"
 #include "logicopt/library.hpp"
 #include "logicopt/path_balance.hpp"
@@ -36,7 +37,6 @@ TEST(DontCare, RemovesOdcRedundantGate) {
 
 TEST(DontCare, PreservesFunctionOnSuite) {
   for (const auto& [name, net] : bench::default_suite()) {
-    if (net.num_gates() > 300) continue;  // keep the test fast
     Netlist work = net.clone();
     auto st = sim::measure_activity(work, 64, 2);
     DontCareOptions opt;
@@ -79,6 +79,112 @@ TEST(DontCare, BddLimitAndRewriteCapAreReported) {
   EXPECT_EQ(res_cap.const_replacements + res_cap.merges, 1);
   EXPECT_EQ(core::metrics::value("logicopt.dontcare.capped"), 1.0);
   EXPECT_TRUE(sim::equivalent_random(net, capped, 256, 5));
+}
+
+// The filter-then-prove pass makes exactly the rewrites of the BDD-only
+// reference model (tests/dontcare_reference.hpp): same final structure,
+// same counts, same stop reasons.
+TEST(DontCare, MatchesReferenceRewrites) {
+  std::vector<bench::NamedNetlist> nets;
+  for (auto& c : bench::default_suite())
+    if (c.net.num_gates() <= 150) nets.push_back(std::move(c));
+  for (int g : {100, 125})
+    nets.push_back({"dag" + std::to_string(g), bench::random_dag(32, g, 7)});
+  for (auto& c : dontcare_reference::redundancy_suite())
+    nets.push_back(std::move(c));
+  // Sequential: register outputs are free variables, D inputs are roots.
+  nets.push_back({"counter6+red",
+                  dontcare_reference::with_redundancy(bench::counter(6), 4)});
+  int rewrites = 0;
+  for (const auto& [name, net] : nets) {
+    auto tp = sim::measure_activity(net, 64, 2).transition_prob;
+    Netlist fast = net.clone(), ref = net.clone();
+    auto a = optimize_dontcare(fast, tp);
+    auto b = dontcare_reference::optimize_dontcare(ref, tp);
+    EXPECT_EQ(structural_hash(fast), structural_hash(ref)) << name;
+    EXPECT_EQ(a.const_replacements, b.const_replacements) << name;
+    EXPECT_EQ(a.merges, b.merges) << name;
+    EXPECT_EQ(a.bdd_limited, b.bdd_limited) << name;
+    EXPECT_EQ(a.capped, b.capped) << name;
+    rewrites += a.const_replacements + a.merges;
+  }
+  EXPECT_GT(rewrites, 100);  // the comparison covers real rewrites
+}
+
+// After a rewrite the pass re-derives the functions of the rewired gates'
+// fanout instead of rebuilding every BDD.  Here the first rewrite (n -> a,
+// n = a&d is only observed when d = 1) turns u into a ^ c, and only the
+// re-derived function lets the next sweep merge m = XNOR(a, !c) into u;
+// with u's stale function the pass would instead merge u into m.
+TEST(DontCare, RewiredFunctionsStayCurrent) {
+  Netlist net;
+  NodeId a = net.add_input("a");
+  NodeId c = net.add_input("c");
+  NodeId d = net.add_input("d");
+  NodeId m = net.add_xnor(a, net.add_not(c));
+  NodeId u = net.add_xor(net.add_and(a, d), c);
+  net.add_output(net.add_and(u, d), "r1");
+  net.add_output(m, "r2");
+  auto tp = sim::measure_activity(net, 64, 2).transition_prob;
+  Netlist fast = net.clone(), ref = net.clone();
+  auto res = optimize_dontcare(fast, tp);
+  dontcare_reference::optimize_dontcare(ref, tp);
+  EXPECT_EQ(res.merges, 2);
+  EXPECT_EQ(structural_hash(fast), structural_hash(ref));
+  EXPECT_TRUE(fast.is_dead(m));  // m merged into u, not u into m
+  EXPECT_FALSE(fast.is_dead(u));
+  EXPECT_TRUE(bdd::equivalent_bdd(net, fast));
+}
+
+TEST(DontCare, CandidateCountersAddUp) {
+  auto net = bench::random_dag(32, 150, 7);
+  auto tp = sim::measure_activity(net, 64, 2).transition_prob;
+  core::metrics::reset();
+  auto res = optimize_dontcare(net, tp);
+  auto v = [](const char* k) {
+    return core::metrics::value(std::string("logicopt.dontcare.") + k);
+  };
+  EXPECT_GT(v("candidates"), 0.0);
+  EXPECT_EQ(v("candidates"), v("sim_rejected") + v("bdd_checked"));
+  EXPECT_LE(res.const_replacements + res.merges, v("bdd_checked"));
+  EXPECT_GT(v("sim_rejected"), v("bdd_checked"));  // the filter does work
+}
+
+// A Dff's enable pin is an observation point: logic that only feeds an
+// enable is not a don't-care, and must survive the pass.
+TEST(DontCare, KeepsDffEnableObservable) {
+  Netlist n;
+  NodeId a = n.add_input("a");
+  NodeId b = n.add_input("b");
+  NodeId c = n.add_input("c");
+  NodeId q = n.add_dff(c, false, "q");
+  n.set_dff_enable(q, n.add_and(a, b));
+  n.add_output(q, "y");
+  auto golden = n.clone();
+  std::vector<double> tp(n.size(), 0.5);
+  auto res = optimize_dontcare(n, tp);
+  EXPECT_EQ(res.const_replacements + res.merges, 0);
+  EXPECT_TRUE(bdd::equivalent_bdd(golden, n));
+}
+
+// A budget that admits the global BDDs but not every later proof stops the
+// pass mid-way with a consistent, equivalent netlist.
+TEST(DontCare, BddLimitMidPassKeepsNetlistConsistent) {
+  auto net = bench::random_dag(32, 150, 7);
+  auto tp = sim::measure_activity(net, 64, 2).transition_prob;
+  std::size_t build = bdd::build_bdds(net).mgr.live_nodes();
+  bool stopped_mid_pass = false;
+  for (std::size_t extra = 1; extra <= 1024; extra *= 2) {
+    Netlist work = net.clone();
+    DontCareOptions opt;
+    opt.bdd_limit = build + extra;
+    auto res = optimize_dontcare(work, tp, opt);
+    stopped_mid_pass = stopped_mid_pass ||
+                       (res.bdd_limited && res.const_replacements + res.merges);
+    EXPECT_EQ(work.check(), "") << extra;
+    EXPECT_TRUE(bdd::equivalent_bdd(net, work)) << extra;
+  }
+  EXPECT_TRUE(stopped_mid_pass);
 }
 
 TEST(DontCare, NoFalsePositivesOnIrredundantCircuit) {
