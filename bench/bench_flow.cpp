@@ -67,8 +67,8 @@ void bm_flow_workers(benchmark::State& state, int workers) {
   }
 }
 void bm_flow(benchmark::State& state) { bm_flow_workers(state, 0); }
-// _w1/_w4 pair: speculative candidate scoring off/on in the optimization
-// stages — aggregate_bench.py derives the flow-level speedup from it.
+// _w1/_w4 pair: speculative window examination off/on in the resynthesis
+// stage — aggregate_bench.py derives the flow-level speedup from it.
 void bm_flow_w1(benchmark::State& state) { bm_flow_workers(state, 1); }
 void bm_flow_w4(benchmark::State& state) { bm_flow_workers(state, 4); }
 BENCHMARK(bm_flow);

@@ -124,7 +124,6 @@ void run_logic_stages(StageRunner& runner, const FlowOptions& opt) {
       // Match the flow's own estimator stimulus so that (in ZeroDelay mode)
       // a rewrite the engine keeps is a win under the stage keep-check too.
       ro.sim_vectors = opt.sim_vectors;
-      ro.workers = opt.opt_workers;
       logicopt::rewrite::rewrite_datapath(net, ro);
     });
   }

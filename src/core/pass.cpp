@@ -8,7 +8,6 @@
 #include "core/parallel.hpp"
 #include "logicopt/dontcare.hpp"
 #include "logicopt/path_balance.hpp"
-#include "logicopt/speculate.hpp"
 #include "netlist/validate.hpp"
 #include "sim/logicsim.hpp"
 
@@ -174,10 +173,6 @@ TransformGuard::Result TransformGuard::run(
 
 std::vector<PassRecord> PassManager::run(Netlist& net) const {
   std::vector<PassRecord> records;
-  // Scope the speculation worker default over the whole pipeline so passes
-  // constructed with default engine options pick it up.
-  std::optional<logicopt::speculate::ScopedWorkers> spec_workers;
-  if (opt_.opt_workers > 0) spec_workers.emplace(opt_.opt_workers);
   std::optional<power::AnalysisOptions> estimate;
   if (opt_.estimate_power) estimate = opt_.estimate;
   TransformGuard guard(net, "pass", opt_.verify ? opt_.verify_vectors : 0,

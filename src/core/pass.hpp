@@ -150,13 +150,6 @@ class PassManager {
     bool estimate_power = false;
     /// Analysis options for the per-pass estimate (estimate_power only).
     power::AnalysisOptions estimate;
-    /// Candidate-scoring worker threads for optimization passes that go
-    /// through logicopt/speculate.hpp (datapath rewriting, window
-    /// resynthesis).  Applied as the speculation default for the duration
-    /// of run(), so passes built with default options inherit it.  Results
-    /// are bit-identical at any value; only wall-clock changes.  0 = the
-    /// LPS_OPT_WORKERS environment default.
-    int opt_workers = 0;
   };
 
   explicit PassManager(Options opt) : opt_(opt) {}

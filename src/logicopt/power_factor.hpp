@@ -47,11 +47,8 @@ struct FactoringComparison {
 /// the input toggle rates 2p(1-p)).  With `rescore` (default) each built
 /// form is additionally measured with the ZeroDelay simulator under
 /// `one_prob`-biased stimulus, and `measured_winner` records the verdict.
-/// The three measurements are independent and run concurrently on up to
-/// `workers` threads (0 = the LPS_OPT_WORKERS default) — the scores and the
-/// verdict are bit-identical at any worker count.
 FactoringComparison compare_factorings(const sop::Sop& f,
                                        const std::vector<double>& one_prob,
-                                       bool rescore = true, int workers = 0);
+                                       bool rescore = true);
 
 }  // namespace lps::logicopt

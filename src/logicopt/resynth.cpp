@@ -114,24 +114,21 @@ ResynthResult resynthesize_windows(Netlist& net,
   const int workers = speculate::resolve_workers(opt.workers);
   res.workers_used = workers;
 
-  // The cost oracle.  With rescore_activities the pass owns a cone-scoped
-  // incremental analyzer and refreshes it after every kept rewrite, so each
-  // window is weighted by the switching of the circuit as it *currently*
-  // stands.  The caller's activity vector remains the fallback (and the
-  // legacy behavior when re-scoring is off): it describes the pre-pass
-  // circuit only, and scores nodes created by earlier kept rewrites as
-  // toggle-free — the stale-cost-oracle bug this option fixes.
+  // The cost oracle: a cone-scoped incremental analyzer the pass owns and
+  // refreshes after every kept rewrite, so each window is weighted by the
+  // switching of the circuit as it *currently* stands.  The caller's
+  // activity vector is only the fallback when the analyzer cannot be built
+  // or is dropped: it describes the pre-pass circuit, and scores nodes
+  // created by earlier kept rewrites as toggle-free.
   std::optional<power::IncrementalAnalyzer> inc;
-  if (opt.power_aware && opt.rescore_activities) {
-    try {
-      power::AnalysisOptions ao;
-      ao.mode = power::ActivityMode::ZeroDelay;
-      ao.n_vectors = opt.rescore_vectors;
-      ao.seed = opt.rescore_seed;
-      inc.emplace(net, ao);
-    } catch (const std::exception&) {
-      core::metrics::count("logicopt.resynth.rescore_dropped");
-    }
+  try {
+    power::AnalysisOptions ao;
+    ao.mode = power::ActivityMode::ZeroDelay;
+    ao.n_vectors = opt.rescore_vectors;
+    ao.seed = opt.rescore_seed;
+    inc.emplace(net, ao);
+  } catch (const std::exception&) {
+    core::metrics::count("logicopt.resynth.rescore_dropped");
   }
   auto tog = [&](NodeId id) -> double {
     const std::vector<double>& t =
@@ -233,13 +230,9 @@ ResynthResult resynthesize_windows(Netlist& net,
     }
 
     auto cover = sop::minimize(onset, dcset);
-    if (opt.power_aware) {
-      std::vector<double> w(k);
-      for (unsigned i = 0; i < k; ++i) w[i] = 0.05 + tog(plan.boundary[i]);
-      plan.expr = sop::factor_weighted(cover, w);
-    } else {
-      plan.expr = sop::factor(cover);
-    }
+    std::vector<double> w(k);
+    for (unsigned i = 0; i < k; ++i) w[i] = 0.05 + tog(plan.boundary[i]);
+    plan.expr = sop::factor_weighted(cover, w);
     // Keep only if strictly cheaper than the window it replaces (negated
     // literals cost an inverter each, so count them).
     plan.rewrite = expr_cost(plan.expr) < window_lits;
@@ -328,7 +321,28 @@ ResynthResult resynthesize_windows(Netlist& net,
       round_changed = true;
     };
 
-    if (workers <= 1) {
+    // Speculative rounds examine on per-worker BDD views built once from
+    // the round-start netlist (kept rewrites preserve every node's global
+    // function — they only use boundary patterns no PI assignment reaches —
+    // so the views stay valid across the whole round).  A round with one
+    // worker, at most one candidate, or a view that failed to build runs
+    // the sequential loop: identical results, just no overlap.
+    int team = std::min<int>(workers, static_cast<int>(candidates.size()));
+    std::vector<std::optional<bdd::NetlistBdds>> wbdds;
+    if (team > 1) {
+      wbdds.resize(static_cast<std::size_t>(team));
+      std::atomic<bool> build_failed{false};
+      speculate::run_workers(team, [&](int w) {
+        try {
+          wbdds[static_cast<std::size_t>(w)].emplace(
+              bdd::build_bdds(net, opt.bdd_limit));
+        } catch (...) {
+          build_failed.store(true, std::memory_order_relaxed);
+        }
+      });
+      if (build_failed.load(std::memory_order_relaxed)) team = 1;
+    }
+    if (team <= 1) {
       for (NodeId n : candidates) {
         if (res.nodes_rewritten >= opt.max_rewrites) {
           // Budget exhausted with windows still unexamined — never silent.
@@ -340,43 +354,8 @@ ResynthResult resynthesize_windows(Netlist& net,
       continue;
     }
 
-    // Speculative rounds: per-worker BDD views built once from the
-    // round-start netlist (kept rewrites preserve every node's global
-    // function — they only use boundary patterns no PI assignment reaches —
-    // so the views stay valid across the whole round).
-    int team = std::min<int>(workers, static_cast<int>(candidates.size()));
-    std::vector<std::optional<bdd::NetlistBdds>> wbdds(
-        static_cast<std::size_t>(std::max(team, 1)));
-    bool spec_ok = team > 1;
-    if (spec_ok) {
-      std::atomic<bool> build_failed{false};
-      speculate::run_workers(team, [&](int w) {
-        try {
-          wbdds[static_cast<std::size_t>(w)].emplace(
-              bdd::build_bdds(net, opt.bdd_limit));
-        } catch (...) {
-          build_failed.store(true, std::memory_order_relaxed);
-        }
-      });
-      spec_ok = !build_failed.load(std::memory_order_relaxed);
-    }
-    if (!spec_ok) {
-      // Degrade to the sequential loop for this round — identical results,
-      // just no overlap.
-      for (NodeId n : candidates) {
-        if (res.nodes_rewritten >= opt.max_rewrites) {
-          res.rewrites_capped = true;
-          break;
-        }
-        commit_plan(n, examine(n, bdds), nullptr);
-      }
-      continue;
-    }
-
     const std::size_t batch_size =
-        opt.spec_batch ? opt.spec_batch
-                       : static_cast<std::size_t>(8) *
-                             static_cast<std::size_t>(team);
+        static_cast<std::size_t>(8) * static_cast<std::size_t>(team);
     bool budget_stop = false;
     // Plans go stale once the activity oracle dies mid-batch (later plans
     // were weighted through it): force the batch remainder serial.
@@ -397,7 +376,7 @@ ResynthResult resynthesize_windows(Netlist& net,
           }
         }
       });
-      ++res.spec_batches;
+      ++res.speculated_batches;
       core::metrics::count("logicopt.spec.batches");
       core::metrics::count("logicopt.spec.speculated",
                            static_cast<double>(nb));
@@ -412,9 +391,8 @@ ResynthResult resynthesize_windows(Netlist& net,
         }
         NodeId n = candidates[start + i];
         WindowPlan& plan = plans[i];
-        // A cancellation raised on a worker must abort the run (at this
-        // window's sequential position), not be re-examined serially.
-        speculate::rethrow_if_cancelled(plan.error);
+        // A failed examination is redone serially, where it raises at this
+        // window's sequential position if it fails again.
         bool conflict = plan.error != nullptr ||
                         (inc_alive_at_batch && !inc.has_value()) ||
                         committed.hits(plan.reads);

@@ -11,9 +11,15 @@
 //   3. compute the local *controllability* don't-cares — boundary patterns
 //      no primary-input assignment can produce (exact, via global BDDs);
 //   4. minimize the local cover against those don't-cares (sop::minimize),
-//      factor it (activity-weighted when power_aware), and rebuild;
-//   5. keep the rewrite when it lowers the cost (literals, or
-//      activity-weighted literals).
+//      factor it weighted by boundary-signal activity, and rebuild;
+//   5. keep the rewrite when the factored form costs fewer literals than
+//      the window it replaces.
+//
+// Activities come from a cone-scoped incremental analyzer the pass owns and
+// refreshes after every kept rewrite, so each window is weighted by the
+// switching of the circuit as it currently stands.  Window examination is
+// the one optimization step that runs speculatively on worker threads
+// (logicopt/speculate.hpp, ResynthOptions::workers).
 //
 // Function preservation is exact: the rewritten node agrees with the old
 // one on every *reachable* boundary pattern.
@@ -30,15 +36,7 @@ namespace lps::logicopt {
 struct ResynthOptions {
   int max_window_inputs = 8;
   int max_rewrites = 200;
-  bool power_aware = true;  // weigh literals by boundary-signal activity
   std::size_t bdd_limit = 1u << 22;
-  /// Re-score activities through a cone-scoped incremental re-estimate
-  /// (power/incremental.hpp) after every kept rewrite, so later windows are
-  /// costed against the *current* circuit's switching instead of the
-  /// activity vector captured before the pass started (the stale-cost-
-  /// oracle bug: a kept rewrite both shifts activity downstream and creates
-  /// nodes the stale vector scores as toggle-free).  power_aware only.
-  bool rescore_activities = true;
   /// Stimulus for the internal re-scoring analyzer (ZeroDelay).  The
   /// defaults reproduce the flow's measure_activity(net, 64, seed) frames:
   /// 4096 vectors = 64 words of 64 patterns.
@@ -49,10 +47,9 @@ struct ResynthOptions {
   /// per-round BDD views; plans commit in candidate order and anything an
   /// earlier keep touched (structurally or through its activity cone) is
   /// re-examined serially.  Results are bit-identical at any value.
-  /// 0 = the LPS_OPT_WORKERS environment default; 1 = sequential.
+  /// Batches hold 8 candidates per worker.  0 = the LPS_OPT_WORKERS
+  /// environment default; 1 = sequential.
   int workers = 0;
-  /// Candidates per speculation batch (0 = 8 per worker).
-  std::size_t spec_batch = 0;
 };
 
 struct ResynthResult {
@@ -61,7 +58,7 @@ struct ResynthResult {
   std::size_t gates_before = 0;
   std::size_t gates_after = 0;
   /// Kept rewrites whose activities were refreshed through the incremental
-  /// analyzer (== nodes_rewritten when re-scoring is on and healthy).
+  /// analyzer (== nodes_rewritten unless the analyzer was dropped).
   int rescored = 0;
   /// Windows skipped because their boundary exceeded max_window_inputs even
   /// after the one-level retry.  Never silent: also counted as the
@@ -72,17 +69,19 @@ struct ResynthResult {
   bool rewrites_capped = false;
   /// Speculation accounting (workers > 1; zero in sequential runs, mirrored
   /// in logicopt.spec.* metrics — conflicts are never silent).
-  std::size_t spec_batches = 0;    // plan batches examined by workers
-  std::size_t spec_conflicts = 0;  // plans invalidated by an earlier keep
-  std::size_t spec_rescored = 0;   // conflicted plans re-examined serially
-  int workers_used = 1;            // resolved worker count for this run
+  std::size_t speculated_batches = 0;  // plan batches examined by workers
+  std::size_t spec_conflicts = 0;      // plans invalidated by an earlier keep
+  std::size_t spec_rescored = 0;       // conflicted plans re-examined serially
+  int workers_used = 1;                // resolved worker count for this run
   /// One-line diagnostic describing any cap that was hit; empty otherwise.
   std::string note;
 };
 
-/// Rewrite nodes in place.  `toggles_per_cycle` supplies activities (e.g.
-/// from sim::measure_activity) for the power-aware cost; may be shorter
-/// than net.size() (new nodes default to inactive).
+/// Rewrite nodes in place.  `toggles_per_cycle` (e.g. from
+/// sim::measure_activity) is the fallback activity source, used only when
+/// the pass's own analyzer cannot be built or is dropped
+/// (logicopt.resynth.rescore_dropped); may be shorter than net.size() (new
+/// nodes default to inactive).
 ResynthResult resynthesize_windows(Netlist& net,
                                    const std::vector<double>& toggles_per_cycle,
                                    const ResynthOptions& opt = {});

@@ -27,11 +27,13 @@
 // lane width or thread count — ZeroDelay statistics are bit-identical
 // across all of those), so the kept-rewrite sequence is a pure function of
 // the input netlist and options.  Candidates are judged by footprint-local
-// power *deltas* (logicopt/speculate.hpp), which transplant bit-for-bit
-// between a batch snapshot and the live netlist — that is what lets
-// RewriteOptions::workers > 1 score candidates speculatively on worker
-// threads while keeping the kept sequence and the final netlist
-// bit-identical to workers == 1.
+// power deltas (logicopt/speculate.hpp score_delta over dirty_footprint).
+//
+// The loop is serial.  Speculative scoring on worker threads was measured
+// at 0.43x the serial loop at 4 workers on a 4-vCPU host (about as many
+// conflicts as keeps, and each rewrite scores in microseconds), so window
+// resynthesis is the one engine that speculates (DESIGN.md, "Speculative
+// candidate scoring").
 
 #pragma once
 
@@ -74,15 +76,9 @@ struct RewriteOptions {
   /// trace in addition to the PO-stream digest (belt-and-braces mode; the
   /// rule-soundness fuzzer runs with this on).
   bool verify_full = false;
-  /// Candidate-scoring worker threads (logicopt/speculate.hpp).  Workers
-  /// score batches against a snapshot on private netlist+oracle clones;
-  /// disjoint winners commit without re-scoring, overlapping candidates
-  /// are re-scored serially.  Kept sequence and final netlist are
-  /// bit-identical at any value.  0 = the LPS_OPT_WORKERS environment
-  /// default; 1 = the plain sequential loop.
+  /// Unused: the engine always scores serially.  Kept only so existing
+  /// callers that assign it still compile; it changes nothing.
   int workers = 0;
-  /// Candidates per speculation batch (0 = 32 per worker).
-  std::size_t spec_batch = 0;
 };
 
 struct RewriteResult {
@@ -96,12 +92,6 @@ struct RewriteResult {
   /// True when a round's candidate queue was truncated at max_candidates —
   /// surfaced (never silent): also counted as logicopt.rewrite.capped.
   bool capped = false;
-  /// Speculation accounting (workers > 1; all zero in sequential runs,
-  /// mirrored in logicopt.spec.* metrics — conflicts are never silent).
-  std::size_t spec_batches = 0;    // snapshot batches scored by workers
-  std::size_t spec_conflicts = 0;  // candidates overlapping an earlier keep
-  std::size_t spec_rescored = 0;   // conflicted candidates re-scored serially
-  int workers_used = 1;            // resolved worker count for this run
   double power_before_w = 0.0;  // oracle estimate at entry
   double power_after_w = 0.0;   // oracle estimate at exit
   std::size_t gates_before = 0;

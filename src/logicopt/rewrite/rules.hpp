@@ -77,19 +77,6 @@ struct MatchOptions {
   bool distrib = true;
 };
 
-/// Deepest fanin level any matcher or apply_rule() re-validation reads,
-/// measured from a candidate's seed nodes (target, aux).  Per-rule audit:
-/// Fold reads the target's fanins (1); Reassoc the chain gate's fanins (2);
-/// InvPush the inner inverter's / inner gate's fanins (2); Share the
-/// partner's fanins and the through-inverter operand (2); MuxRule the
-/// select inverter's and the arms' fanins (2); Carry the propagate gate
-/// two Ands below the Or plus that gate's fanin ids (3); Distrib the inner
-/// gates' fanins (2).  speculate::read_closure() bounds a candidate's
-/// structural read set with this — grow it when a deeper pattern is added
-/// (the commit loop's touched-set cross-check catches a stale value at
-/// run time, but only by forcing serial re-scores).
-inline constexpr int kMaxMatchDepth = 3;
-
 /// Enumerate every rule match over the live logic of `net`, in a
 /// deterministic order (ascending target id, fixed rule order).
 std::vector<Candidate> match_rules(const Netlist& net,

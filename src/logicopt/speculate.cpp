@@ -1,50 +1,21 @@
 #include "logicopt/speculate.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <optional>
 #include <thread>
 
 #include "core/env.hpp"
-#include "core/metrics.hpp"
-#include "core/parallel.hpp"
-#include "power/activity.hpp"
 
 namespace lps::logicopt::speculate {
 
-namespace {
-
-std::atomic<int> g_override{0};
-
-int env_workers() {
+int default_workers() {
   static const int cached = static_cast<int>(
       core::env_long_or("LPS_OPT_WORKERS", 1, 256, 1));
   return cached;
 }
 
-}  // namespace
-
-int default_workers() {
-  int o = g_override.load(std::memory_order_relaxed);
-  return o > 0 ? o : env_workers();
-}
-
-void set_default_workers(int n) {
-  g_override.store(n > 0 ? n : 0, std::memory_order_relaxed);
-}
-
 int resolve_workers(int requested) {
   int w = requested > 0 ? requested : default_workers();
   return std::clamp(w, 1, 256);
-}
-
-ScopedWorkers::ScopedWorkers(int n)
-    : prev_(g_override.load(std::memory_order_relaxed)) {
-  set_default_workers(n);
-}
-
-ScopedWorkers::~ScopedWorkers() {
-  g_override.store(prev_, std::memory_order_relaxed);
 }
 
 void run_workers(int workers, const std::function<void(int)>& fn) {
@@ -59,10 +30,8 @@ void run_workers(int workers, const std::function<void(int)>& fn) {
   for (auto& t : team) t.join();
 }
 
-DeltaScore score_delta(const power::Analysis& before,
-                       const power::Analysis& after,
-                       std::span<const NodeId> footprint) {
-  DeltaScore r;
+double score_delta(const power::Analysis& before, const power::Analysis& after,
+                   std::span<const NodeId> footprint) {
   const auto& pb = before.report.node_power_w;
   const auto& pa = after.report.node_power_w;
   double acc = 0.0;
@@ -71,9 +40,7 @@ DeltaScore score_delta(const power::Analysis& before,
     double a = id < pa.size() ? pa[id] : 0.0;
     acc += a - b;
   }
-  r.clock_moved = before.clock_power_w != after.clock_power_w;
-  r.delta_w = acc + (after.clock_power_w - before.clock_power_w);
-  return r;
+  return acc + (after.clock_power_w - before.clock_power_w);
 }
 
 std::vector<NodeId> dirty_footprint(const Netlist& net,
@@ -104,9 +71,9 @@ std::vector<NodeId> read_closure(const Netlist& net,
     all.insert(all.end(), next.begin(), next.end());
     frontier = std::move(next);
   }
-  // Sharing scans (find_gate) walk the fanout lists of closure nodes and
-  // compare those fanouts' fanins; include the fanouts so an edit that
-  // could flip such a comparison intersects this set.
+  // Window extraction reads the fanout counts of interior helpers; include
+  // the fanouts so an edit that could change such a count intersects this
+  // set.
   std::size_t base = all.size();
   for (std::size_t i = 0; i < base; ++i)
     for (NodeId u : net.node(all[i]).fanouts)
@@ -114,174 +81,6 @@ std::vector<NodeId> read_closure(const Netlist& net,
   std::sort(all.begin(), all.end());
   all.erase(std::unique(all.begin(), all.end()), all.end());
   return all;
-}
-
-namespace {
-
-// A gated register's clock contribution is summed per distinct enable net,
-// in enable-id order — an ordering that can differ between the snapshot and
-// the live netlist.  Any candidate touching such a register is re-scored
-// serially; the record keeps its type even when tombstoned, so removed
-// registers are caught too.
-bool touches_gated_register(const Netlist& net,
-                            const Netlist::TouchedNodes& touched) {
-  for (NodeId id : touched.ids) {
-    if (id >= net.size()) continue;
-    const Node& n = net.node(id);
-    if (n.type == GateType::Dff && n.fanins.size() == 2) return true;
-  }
-  return false;
-}
-
-void keep_below(std::vector<NodeId>& ids, std::size_t limit) {
-  ids.erase(std::remove_if(ids.begin(), ids.end(),
-                           [limit](NodeId id) { return id >= limit; }),
-            ids.end());
-}
-
-// Sorted unique copy of `ids` restricted to [0, limit).
-std::vector<NodeId> canonical_below(std::span<const NodeId> ids,
-                                    std::size_t limit) {
-  std::vector<NodeId> out;
-  out.reserve(ids.size());
-  for (NodeId id : ids)
-    if (id < limit) out.push_back(id);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-}  // namespace
-
-void rethrow_if_cancelled(const std::exception_ptr& e) {
-  if (!e) return;
-  try {
-    std::rethrow_exception(e);
-  } catch (const core::CancelledError&) {
-    throw;
-  } catch (...) {
-    // Not a cancellation: the caller re-scores the candidate serially.
-  }
-}
-
-bool same_touched(std::span<const NodeId> snap_ids,
-                  std::span<const NodeId> snap_roots,
-                  const Netlist::TouchedNodes& live,
-                  std::size_t snapshot_size) {
-  std::vector<NodeId> ids = canonical_below(live.ids, snapshot_size);
-  if (ids.size() != snap_ids.size() ||
-      !std::equal(ids.begin(), ids.end(), snap_ids.begin()))
-    return false;
-  std::vector<NodeId> roots = canonical_below(live.value_roots, snapshot_size);
-  return roots.size() == snap_roots.size() &&
-         std::equal(roots.begin(), roots.end(), snap_roots.begin());
-}
-
-std::vector<CandidateScore> score_rewrite_batch(
-    const Netlist& net, const power::IncrementalAnalyzer& oracle,
-    std::span<const rewrite::Candidate> batch, double min_gain_w,
-    int workers) {
-  std::vector<CandidateScore> out(batch.size());
-  const std::size_t snap_size = net.size();
-  std::atomic<std::size_t> next{0};
-
-  auto work = [&](int) {
-    std::optional<Netlist> clone;
-    std::optional<power::IncrementalAnalyzer> worker_oracle;
-    std::uint64_t base_digest = 0;
-    for (;;) {
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= batch.size()) break;
-      CandidateScore& sc = out[i];
-      try {
-        if (!clone) {
-          clone.emplace(net.clone());
-          worker_oracle.emplace(oracle.clone_for(*clone));
-          base_digest = worker_oracle->outputs_digest();
-        }
-        const rewrite::Candidate& cand = batch[i];
-        std::vector<NodeId> seeds{cand.target};
-        if (cand.aux != kNoNode) seeds.push_back(cand.aux);
-        sc.reads = read_closure(*clone, seeds, rewrite::kMaxMatchDepth);
-
-        clone->begin_undo();
-        bool applied = false;
-        try {
-          applied = rewrite::apply_rule(*clone, cand);
-        } catch (...) {
-          clone->rollback_undo();
-          throw;
-        }
-        if (!applied) {
-          // Stale at the snapshot; nothing was mutated.
-          clone->rollback_undo();
-          continue;
-        }
-        sc.applied = true;
-        Netlist::TouchedNodes touched = clone->touched_nodes();
-        if (touched.all) {
-          // Wholesale invalidation would force the clone's oracle into a
-          // full rebaseline (shared-pool work) — defer to the serial path.
-          clone->rollback_undo();
-          sc.forced_conflict = true;
-          continue;
-        }
-        sc.touched_snap = canonical_below(touched.ids, snap_size);
-        sc.roots_snap = canonical_below(touched.value_roots, snap_size);
-        if (touches_gated_register(*clone, touched)) sc.forced_conflict = true;
-        try {
-          worker_oracle->reanalyze(touched);
-        } catch (...) {
-          clone->rollback_undo();
-          throw;
-        }
-        sc.footprint = dirty_footprint(*clone, touched);
-        DeltaScore d =
-            score_delta(worker_oracle->previous_analysis(),
-                        worker_oracle->analysis(), sc.footprint);
-        sc.delta_w = d.delta_w;
-        if (d.clock_moved) sc.forced_conflict = true;
-        sc.keep = !sc.forced_conflict && d.delta_w < -min_gain_w;
-        if (sc.keep) sc.sound = worker_oracle->outputs_digest() == base_digest;
-        clone->rollback_undo();
-        worker_oracle->revert_last();
-        keep_below(sc.footprint, snap_size);
-      } catch (...) {
-        sc.error = std::current_exception();
-        // The clone's exact state after a mid-candidate failure is not worth
-        // reasoning about; rebuild it for the next pull.
-        worker_oracle.reset();
-        clone.reset();
-      }
-    }
-  };
-  run_workers(workers, work);
-  core::metrics::count("logicopt.spec.speculated",
-                       static_cast<double>(batch.size()));
-  return out;
-}
-
-std::vector<power::Analysis> analyze_candidates(
-    std::span<const Netlist* const> nets, const power::AnalysisOptions& ao,
-    int workers) {
-  std::vector<power::Analysis> out(nets.size());
-  std::vector<std::exception_ptr> errs(nets.size());
-  std::atomic<std::size_t> next{0};
-  int team = std::clamp<int>(workers, 1, static_cast<int>(nets.size() ? nets.size() : 1));
-  run_workers(team, [&](int) {
-    for (;;) {
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= nets.size()) break;
-      try {
-        out[i] = power::analyze(*nets[i], ao);
-      } catch (...) {
-        errs[i] = std::current_exception();
-      }
-    }
-  });
-  for (std::exception_ptr& e : errs)
-    if (e) std::rethrow_exception(e);
-  return out;
 }
 
 }  // namespace lps::logicopt::speculate

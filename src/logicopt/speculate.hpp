@@ -1,106 +1,64 @@
-// speculate.hpp — speculative parallel candidate scoring with a
-// deterministic commit order.
+// speculate.hpp — speculative parallel window examination with a
+// deterministic commit order, plus the footprint-local power delta the
+// optimization engines score candidates with.
 //
-// The optimization engines (rewrite/engine.cpp, resynth.cpp,
-// power_factor.cpp) evaluate long queues of independent candidates, each
-// scored through a power oracle — serially, on one thread, while the
-// simulator underneath scales to SIMD lanes and pinned threads.  This layer
-// parallelizes the *candidate* axis without giving up the engines' defining
-// guarantee: the kept sequence and the final netlist are bit-identical to
-// the sequential engine at any worker count.
+// Window resynthesis (resynth.cpp) is the one engine that speculates: its
+// per-window work (local-function tabulation against reachability
+// don't-cares, SOP minimization, factoring) is expensive and pure, so
+// examining a batch of windows on worker threads pays.  The datapath
+// rewriter and bdd_synth score serially — a rewrite candidate costs
+// microseconds and conflicts with earlier keeps about as often as it is
+// kept, so speculation measured 0.43x of the serial rewrite loop at 4
+// workers (DESIGN.md, "Speculative candidate scoring").
 //
-// How identity is preserved:
+// How resynth keeps its results bit-identical at any worker count:
 //
-//  * Workers score candidates against a *snapshot* of the netlist: each
-//    worker owns a Netlist::clone() plus an IncrementalAnalyzer::clone_for()
-//    fork of the engine's oracle, applies the candidate there, cone-scores
-//    it, and rolls its clone back.  The live netlist is never touched.
+//  * Workers examine window plans read-only against the live netlist, each
+//    with a private BDD view built from the round-start netlist.  The
+//    netlist is never mutated off the main thread.
 //
-//  * Decisions are expressed as footprint-local power *deltas*
-//    (score_delta): the sum, in ascending node-id order, of per-node
-//    total-power differences over the candidate's dirty footprint, plus the
-//    global clock-tree term when it moved.  Every addend is a pure function
-//    of per-node state, so a candidate whose footprint and read set are
-//    disjoint from every earlier keep in the batch produces the same addend
-//    sequence — and therefore the bit-identical delta — on the snapshot as
-//    it would on the live netlist.  Such candidates commit without
-//    re-scoring.
-//
-//  * Candidates that overlap an earlier keep (ConflictSet over the
-//    snapshot id space, read closure ∪ dirty footprint vs committed
-//    touched sets ∪ *their* dirty footprints — both sides carry the
-//    activity cone, so downstream reconvergence with a keep's toggle
-//    changes is a conflict even without structural overlap) are re-scored
-//    serially through the engine's own oracle, exactly where the
-//    sequential engine would have scored them.  Counted as
+//  * Plans commit in candidate order on the main thread.  A plan whose
+//    read set (read_closure) intersects anything an earlier keep in the
+//    batch touched — its structural edit or its dirty activity footprint
+//    (ConflictSet) — is re-examined serially at exactly the point the
+//    sequential loop would have examined it.  Counted as
 //    logicopt.spec.conflicts / logicopt.spec.rescored — never silent.
 //
-//  * Commits re-apply the candidate on the live netlist in queue order, so
-//    node-id assignment matches the sequential engine exactly.
-//
 // Workers are dedicated std::threads, never the shared core::ThreadPool:
-// the pool is non-reentrant, and a worker's oracle fallback path could
-// otherwise deadlock behind its own batch.  For the same reason a worker
-// never scores a wholesale-invalidation (`touched.all`) candidate — it
-// defers it to the serial path instead of re-entering measure_activity.
+// the pool is non-reentrant, and an examination that reached it could
+// otherwise deadlock behind its own batch.
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
 #include <span>
 #include <vector>
 
-#include "logicopt/rewrite/rules.hpp"
 #include "netlist/netlist.hpp"
-#include "power/incremental.hpp"
+#include "power/activity.hpp"
 
 namespace lps::logicopt::speculate {
 
 /// Resolved LPS_OPT_WORKERS knob (parsed once through core/env, range
-/// 1..256, default 1 = sequential engines).
+/// 1..256, default 1 = sequential).
 int default_workers();
-/// Process-wide override of the knob (0 restores the environment value).
-/// Threaded from PassManager::Options / the lpsd optimize verb.
-void set_default_workers(int n);
 /// Map an options field to an effective worker count: `requested` when
 /// positive, else default_workers(); clamped to [1, 256].
 int resolve_workers(int requested);
 
-/// RAII override of default_workers() for tests and benches.
-class ScopedWorkers {
- public:
-  explicit ScopedWorkers(int n);
-  ~ScopedWorkers();
-  ScopedWorkers(const ScopedWorkers&) = delete;
-  ScopedWorkers& operator=(const ScopedWorkers&) = delete;
-
- private:
-  int prev_;
-};
-
 /// Run fn(worker_index) for indices [0, workers) on dedicated threads (the
 /// calling thread participates as worker 0).  fn must not throw — capture
 /// per-item exceptions into result slots instead, so the commit loop can
-/// rethrow them in deterministic queue order.
+/// handle them in deterministic queue order.
 void run_workers(int workers, const std::function<void(int)>& fn);
 
 /// Footprint-local power delta between two analyses of the same oracle
-/// stimulus.  delta_w = Σ over `footprint` (ascending ids) of
-/// node_power_w[after] − node_power_w[before], plus the clock-tree
-/// difference; clock_moved reports whether that global term changed at all
-/// (such candidates must be re-scored serially — the clock sum's term
-/// order depends on enable node ids, which shift between snapshot and live
-/// commits).
-struct DeltaScore {
-  double delta_w = 0.0;
-  bool clock_moved = false;
-};
-DeltaScore score_delta(const power::Analysis& before,
-                       const power::Analysis& after,
-                       std::span<const NodeId> footprint);
+/// stimulus: the sum, in ascending `footprint` order, of node_power_w[after]
+/// − node_power_w[before] (ids beyond either vector count as zero), plus
+/// the clock-tree difference.
+double score_delta(const power::Analysis& before, const power::Analysis& after,
+                   std::span<const NodeId> footprint);
 
 /// Sorted unique dirty footprint of a journaled mutation: the touched ids
 /// plus the transitive fanout cone of its value roots (through registers),
@@ -109,16 +67,16 @@ std::vector<NodeId> dirty_footprint(const Netlist& net,
                                     const Netlist::TouchedNodes& touched);
 
 /// Conservative structural read set: the fanin closure of `seeds` to
-/// `depth` levels, plus every fanout-list member of a closure node (the
-/// rewrite matchers re-validate via fanin walks and find-gate sharing
-/// scans over operand fanouts; any structural change that could flip a
-/// match journals a node this closure contains).
+/// `depth` levels, plus every fanout-list member of a closure node (window
+/// extraction reads fanins two levels deep and the fanout counts of
+/// interior helpers; any structural change that could alter a window
+/// journals a node this closure contains).
 std::vector<NodeId> read_closure(const Netlist& net,
                                  std::span<const NodeId> seeds, int depth);
 
-/// Committed-keep id set over the snapshot id space.  Ids at or beyond the
-/// snapshot size are ignored on both sides: nodes created after the
-/// snapshot can never be read by a snapshot-scored candidate.
+/// Committed-keep id set over the batch-start id space.  Ids at or beyond
+/// that size are ignored on both sides: nodes created after the batch
+/// started can never be read by a plan examined before it.
 class ConflictSet {
  public:
   explicit ConflictSet(std::size_t snapshot_size)
@@ -142,73 +100,5 @@ class ConflictSet {
   std::vector<char> mask_;
   std::size_t count_ = 0;
 };
-
-/// One speculated verdict for a rewrite-engine candidate.
-struct CandidateScore {
-  /// apply_rule() succeeded on the worker's snapshot clone.  False = the
-  /// candidate was already stale at the snapshot; the commit loop still
-  /// re-checks staleness when the candidate conflicts.
-  bool applied = false;
-  /// Always re-score serially: wholesale invalidation (`touched.all`),
-  /// gated-register edits (clock-term ordering risk) or a moved clock term.
-  bool forced_conflict = false;
-  bool keep = false;   // delta_w < -min_gain_w
-  bool sound = true;   // cone-digest proof verdict (meaningful when keep)
-  double delta_w = 0.0;
-  std::vector<NodeId> reads;      // snapshot-id read closure (pre-apply)
-  std::vector<NodeId> footprint;  // dirty footprint, filtered < snapshot size
-  /// Canonical (sorted unique, < snapshot size) touched ids and value
-  /// roots of the snapshot apply.  The commit loop cross-checks these
-  /// against the live apply's touched set: a mismatch means the live edit
-  /// differs from the one the snapshot scored (e.g. a matcher read past
-  /// the read closure), so the verdict must not transplant — the
-  /// candidate is re-scored serially instead.
-  std::vector<NodeId> touched_snap;
-  std::vector<NodeId> roots_snap;
-  /// Scoring failed on the worker (its clone was discarded).  The commit
-  /// loop rethrows a core::CancelledError at this candidate's queue
-  /// position — after committing every earlier candidate, the same prefix
-  /// the sequential engine would have committed before the deadline —
-  /// via rethrow_if_cancelled().  Any other failure is treated as a
-  /// conflict: the candidate is re-applied and re-scored serially, so a
-  /// worker-side engine failure is retried on the live path and counted
-  /// (logicopt.spec.conflicts / .rescored), never silently dropped.
-  std::exception_ptr error;
-};
-
-/// Rethrow `e` when it holds a core::CancelledError; return normally for
-/// null or any other exception.  Commit loops call this on a speculated
-/// candidate's error slot so cooperative cancellation propagates instead
-/// of being swallowed by the serial re-score fallback (which would re-run
-/// the cancelled work).
-void rethrow_if_cancelled(const std::exception_ptr& e);
-
-/// True when the live apply's touched set matches the snapshot apply's,
-/// restricted to pre-snapshot ids: both the touched ids and the value
-/// roots, compared as sorted unique sets below `snapshot_size`.
-/// `snap_ids`/`snap_roots` must already be canonical (CandidateScore
-/// stores them that way); ids created after the snapshot differ freely.
-bool same_touched(std::span<const NodeId> snap_ids,
-                  std::span<const NodeId> snap_roots,
-                  const Netlist::TouchedNodes& live,
-                  std::size_t snapshot_size);
-
-/// Score a batch of rewrite candidates against the current state of `net`
-/// on `workers` dedicated threads.  `oracle` must be synced to `net`
-/// (pending keeps reanalyzed) before the call; it is only read (cloned),
-/// never mutated.  Counts logicopt.spec.speculated.
-std::vector<CandidateScore> score_rewrite_batch(
-    const Netlist& net, const power::IncrementalAnalyzer& oracle,
-    std::span<const rewrite::Candidate> batch, double min_gain_w,
-    int workers);
-
-/// Analyze independent candidate netlists concurrently (power_factor's
-/// flat/literal/power forms), one dedicated thread per netlist up to
-/// `workers`.  Results are in input order and bit-identical to serial
-/// power::analyze calls — the analyses share nothing.  The first failure
-/// (lowest input index) is rethrown after all threads join.
-std::vector<power::Analysis> analyze_candidates(
-    std::span<const Netlist* const> nets, const power::AnalysisOptions& ao,
-    int workers);
 
 }  // namespace lps::logicopt::speculate

@@ -40,26 +40,6 @@ IncrementalAnalyzer::IncrementalAnalyzer(const Netlist& net,
   run_full();
 }
 
-IncrementalAnalyzer::IncrementalAnalyzer(CloneTag, const Netlist& net,
-                                         const IncrementalAnalyzer& src)
-    : net_(&net),
-      opt_(src.opt_),
-      analysis_(src.analysis_),
-      trace_(src.trace_),
-      have_trace_(true) {
-  // No compiled tape: it binds to the source netlist.  The first
-  // reanalyze() on the clone compiles one lazily against `net`.
-}
-
-IncrementalAnalyzer IncrementalAnalyzer::clone_for(const Netlist& net) const {
-  if (opt_.mode != ActivityMode::ZeroDelay || !have_trace_)
-    throw std::logic_error(
-        "IncrementalAnalyzer::clone_for: requires a ZeroDelay baseline "
-        "cache (Timed mode keeps none)");
-  core::metrics::count("power.inc.clones");
-  return IncrementalAnalyzer(CloneTag{}, net, *this);
-}
-
 const Analysis& IncrementalAnalyzer::previous_analysis() const {
   if (!snap_)
     throw std::logic_error(

@@ -125,18 +125,6 @@ class IncrementalAnalyzer {
   /// std::logic_error when no update is pending.
   const Analysis& previous_analysis() const;
 
-  /// Fork a scoring oracle bound to `net`, which must be an element-wise
-  /// clone of this analyzer's netlist in its current state (same node ids,
-  /// same tombstones — Netlist::clone() of the bound net after every
-  /// mutation was reported here).  The clone copies the cached frame
-  /// stream, counters and analysis — no re-simulation — and starts with no
-  /// pending snapshot; its compiled tape is built lazily against `net` on
-  /// first reanalyze().  Used by logicopt/speculate.cpp to score candidate
-  /// batches on worker threads without touching the primary oracle.
-  /// Requires a ZeroDelay baseline cache (throws std::logic_error in Timed
-  /// mode or after a failed baseline).
-  IncrementalAnalyzer clone_for(const Netlist& net) const;
-
   /// Digest of the primary-output value streams in the cached trace,
   /// mix64-chained over frames with each output's position folded into
   /// its term — deliberately order-*sensitive*, so it pins the exact
@@ -151,9 +139,6 @@ class IncrementalAnalyzer {
   std::uint64_t outputs_digest() const;
 
  private:
-  struct CloneTag {};
-  IncrementalAnalyzer(CloneTag, const Netlist& net,
-                      const IncrementalAnalyzer& src);
   struct Snapshot {
     bool full = false;  // snapshot of a whole pre-fallback cache
     // full == true: the entire previous trace (moved, so cost-free).

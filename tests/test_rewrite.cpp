@@ -344,8 +344,9 @@ TEST(RewriteEngine, InjectedUnsoundRewriteIsRolledBackAndCounted) {
 // ---- stale cost oracle in resynth -----------------------------------------
 
 TEST(ResynthRescore, DecisionsComeFromTheLiveOracleNotTheStaleVector) {
-  // With re-scoring on, the pass must be invariant to whatever activity
-  // vector the caller captured before the pass — including an empty one
+  // The pass scores through its own live oracle, so it must be invariant to
+  // whatever activity vector the caller captured before the pass —
+  // including an empty one
   // (the shape of the original bug: nodes beyond the vector's end scored
   // as toggle-free).
   for (auto* build : {+[] { return bench::carry_select_adder(8, 2); },
@@ -353,7 +354,7 @@ TEST(ResynthRescore, DecisionsComeFromTheLiveOracleNotTheStaleVector) {
     Netlist n1 = build();
     Netlist n2 = build();
     auto st = sim::measure_activity(n1, 64, 5);
-    logicopt::ResynthOptions opt;  // rescore_activities = true
+    logicopt::ResynthOptions opt;
     auto r1 = logicopt::resynthesize_windows(n1, st.transition_prob, opt);
     auto r2 = logicopt::resynthesize_windows(n2, {}, opt);
     EXPECT_EQ(structural_hash(n1), structural_hash(n2));

@@ -9,8 +9,8 @@ registered with thread-count Args (names like "bm_foo_par/1" vs
 "bm_foo_par/4"), computes incremental-vs-full speedups for paired names
 ("bm_foo_full" vs "bm_foo_inc"), computes compiled-vs-interpreted engine
 speedups for paired names ("bm_foo_interp" vs "bm_foo_comp"), computes
-speculative-scoring speedups for worker-paired names ("bm_foo_w1" vs
-"bm_foo_w4"), lifts the per-circuit datapath-rewrite savings out of the
+speculative-resynthesis speedups for worker-paired names
+("bm_resynth_dct8_w1" vs "bm_resynth_dct8_w4"), lifts the per-circuit datapath-rewrite savings out of the
 E25.saving.* claims, and
 writes one top-level document so the perf trajectory is tracked across PRs.
 
@@ -149,11 +149,12 @@ def simd_speedups(results):
 def speculative_speedups(results):
     """Pair '<stem>_w1' baselines with '<stem>_w4' variants.
 
-    Worker-paired benchmarks run the same optimization-engine workload with
-    speculative candidate scoring at 1 and 4 workers; the results are
-    bit-identical by construction, so the ratio is purely the wall-clock
-    win of speculation.  On boxes without 4 hardware threads the ratio is
-    honestly < 1 (thread overhead with no cores behind it).
+    Worker-paired benchmarks (bench_rewrite's bm_resynth_*, bench_flow's
+    bm_flow) run the same workload with speculative window examination in
+    resynthesis at 1 and 4 workers; the results are bit-identical by
+    construction, so the ratio is purely the wall-clock win of speculation.
+    The ratio is honestly < 1 where conflicts or thread overhead outweigh
+    the overlap (e.g. with fewer than 4 hardware threads).
     """
     w1 = {}
     for r in results:

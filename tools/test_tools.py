@@ -192,9 +192,9 @@ class AggregateBenchTest(unittest.TestCase):
         a = os.path.join(self.dir.name, "a.json")
         doc = bench_doc("bench_rewrite", 10.0)
         doc["results"] += [
-            {"name": "bm_rewrite_engine_dct8_w1", "wall_ms": 6.0,
+            {"name": "bm_resynth_dct8_w1", "wall_ms": 6.0,
              "iterations": 5},
-            {"name": "bm_rewrite_engine_dct8_w4", "wall_ms": 2.0,
+            {"name": "bm_resynth_dct8_w4", "wall_ms": 2.0,
              "iterations": 5},
             # A 1-core box is honestly slower with workers.
             {"name": "bm_flow_w1", "wall_ms": 3.0, "iterations": 5},
@@ -207,7 +207,7 @@ class AggregateBenchTest(unittest.TestCase):
         (entry,) = out["benchmarks"]
         by_name = {s["name"]: (s["workers"], s["speedup"])
                    for s in entry["speculative_speedups"]}
-        self.assertEqual(by_name, {"bm_rewrite_engine_dct8": (4, 3.0),
+        self.assertEqual(by_name, {"bm_resynth_dct8": (4, 3.0),
                                    "bm_flow": (4, 0.75)})
 
     def test_speculative_speedups_absent_without_pairs(self):
