@@ -322,35 +322,12 @@ void report() {
                "encoding throws, complement+GC completes: "
             << (halved_ok ? "yes" : "NO") << "\n";
 
-  // ---- flow identity across worker counts ---------------------------------
-  // The bdd_synth engine is sequential by construction; the speculative
-  // stages around it transplant deltas exactly, so the whole ladder must be
-  // bit-identical at any candidate-scoring worker count.
-  bool identity = true;
-  {
-    const Netlist input = bench::alu_addsub(8);
-    std::vector<std::uint64_t> hashes;
-    std::vector<double> finals;
-    for (int workers : {1, 4}) {
-      core::FlowOptions fo;
-      fo.estimate_mode = power::ActivityMode::ZeroDelay;
-      fo.opt_workers = workers;
-      auto res = core::optimize_combinational(input, fo);
-      hashes.push_back(structural_hash(res.circuit));
-      finals.push_back(res.stages.back().power_w);
-    }
-    identity = hashes[0] == hashes[1] && finals[0] == finals[1];
-  }
-  std::cout << "flow bit-identity at 1 vs 4 scoring workers: "
-            << (identity ? "bit-identical" : "BROKEN") << "\n\n";
-
   benchx::claim("E27.soundness", sound);
   benchx::claim("E27.cones_examined", static_cast<double>(examined));
   benchx::claim("E27.synth_saving_geomean", synth_geomean);
   benchx::claim("E27.flow_delta_min", flow_delta_min);
   benchx::claim("E27.peak_live_ratio", peak_ratio);
   benchx::claim("E27.halved_limit_ok", halved_ok);
-  benchx::claim("E27.identity_workers", identity);
 }
 
 // ---- timings: the engine itself, and the flow with/without the stage -----

@@ -56,24 +56,16 @@ void report() {
   std::cout << '\n';
 }
 
-void bm_flow_workers(benchmark::State& state, int workers) {
+void bm_flow(benchmark::State& state) {
   auto net = bench::carry_select_adder(8, 2);
   core::FlowOptions opt;
   opt.sim_vectors = 256;
-  opt.opt_workers = workers;
   for (auto _ : state) {
     auto r = core::optimize_combinational(net, opt);
     benchmark::DoNotOptimize(r.stages.size());
   }
 }
-void bm_flow(benchmark::State& state) { bm_flow_workers(state, 0); }
-// _w1/_w4 pair: speculative window examination off/on in the resynthesis
-// stage — aggregate_bench.py derives the flow-level speedup from it.
-void bm_flow_w1(benchmark::State& state) { bm_flow_workers(state, 1); }
-void bm_flow_w4(benchmark::State& state) { bm_flow_workers(state, 4); }
 BENCHMARK(bm_flow);
-BENCHMARK(bm_flow_w1);
-BENCHMARK(bm_flow_w4);
 
 }  // namespace
 

@@ -10,17 +10,14 @@
 // datapath stage against the same flow without it, and checks that no
 // engine run silently truncated its candidate queue.
 //
-// It also carries E26 — speculative window examination in window
-// resynthesis (logicopt/speculate.hpp), the one engine that speculates:
-// worker threads examine window plans and the engine commits them in
-// candidate order, so the bench pins bit-identity of the result across
-// worker counts on the same family and reports the 4-worker wall-clock
-// ratio.
+// It also carries E26, an unbanded table of serial window resynthesis on
+// the same family and a random-DAG size ladder: wall time and how many
+// boundary minterms the simulation filter settled before the BDD
+// reachability check.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "bench_util.hpp"
 #include "core/flows.hpp"
@@ -147,88 +144,38 @@ void report() {
   benchx::claim("E25.flow_delta_min", flow_delta_min);
   benchx::claim("E25.capped_runs", capped_runs);
 
-  // ---- E26: speculative window examination in resynthesis --------------
-  // The load-bearing claim is identity: at any worker count window
-  // resynthesis must produce the same final netlist and the same counts as
-  // the sequential run — speculation is a wall-clock optimization, never a
-  // result change.  The 4-worker wall-clock ratio is reported, not banded:
-  // it depends on the cores behind the workers.
-  bool identical = true;
-  bool accounted = true;
-  double speedup_log_sum = 0.0;
-  std::size_t speedup_n = 0;
-  core::Table ts({"circuit", "rewritten", "examined", "batches", "conflicts",
-                  "rescored", "t 1w ms", "t 4w ms", "speedup"});
-  for (const auto& [name, net] : family()) {
+  // ---- E26: window resynthesis, serial, with its reachability filter ------
+  // Reported, not banded: wall time depends on the host.  "minterms" are
+  // the boundary patterns tabulated, "sim" those seen in the round's
+  // simulation (reachable), "bdd" those left to the BDD conjunction.
+  std::vector<bench::NamedNetlist> ladder = family();
+  for (int g = 100; g <= 800; g += 100)
+    ladder.push_back({"random_dag_32_" + std::to_string(g),
+                      bench::random_dag(32, g, 7)});
+  core::Table ts({"circuit", "gates", "rewritten", "examined", "minterms",
+                  "sim", "bdd", "ms"});
+  for (const auto& [name, net] : ladder) {
     auto st = sim::measure_activity(net, 64, 5);
-    auto timed_run = [&](int workers, Netlist& work,
-                         logicopt::ResynthResult& res) {
-      logicopt::ResynthOptions opt;
-      opt.workers = workers;
-      auto t0 = std::chrono::steady_clock::now();
-      res = logicopt::resynthesize_windows(work, st.transition_prob, opt);
-      return std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - t0)
-          .count();
+    Netlist work = net.clone();
+    core::metrics::reset();
+    auto t0 = std::chrono::steady_clock::now();
+    auto r = logicopt::resynthesize_windows(work, st.transition_prob);
+    double ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    auto metric = [](const char* m) {
+      return core::Table::num(core::metrics::value(m), 0);
     };
-    Netlist base = net.clone();
-    logicopt::ResynthResult r1;
-    double t1 = timed_run(1, base, r1);
-    logicopt::ResynthResult r4;
-    double t4 = 0.0;
-    for (int w : {2, 4, 8}) {
-      Netlist work = net.clone();
-      logicopt::ResynthResult rw;
-      core::metrics::reset();  // scope the logicopt.spec.* mirror to this run
-      double tw = timed_run(w, work, rw);
-      if (w == 4) {
-        r4 = rw;
-        t4 = tw;
-      }
-      bool same = structural_hash(work) == structural_hash(base) &&
-                  rw.nodes_rewritten == r1.nodes_rewritten &&
-                  rw.windows_examined == r1.windows_examined &&
-                  rw.windows_capped == r1.windows_capped &&
-                  rw.gates_after == r1.gates_after;
-      if (!same) {
-        identical = false;
-        std::cout << "IDENTITY BREAK: " << name << " workers " << w << "\n";
-      }
-      // Every conflict is re-examined serially and mirrored in metrics;
-      // a run that examined windows did so in speculative batches.
-      accounted = accounted && rw.workers_used == w &&
-                  rw.spec_conflicts == rw.spec_rescored &&
-                  core::metrics::value("logicopt.spec.conflicts") ==
-                      static_cast<double>(rw.spec_conflicts) &&
-                  core::metrics::value("logicopt.spec.batches") ==
-                      static_cast<double>(rw.speculated_batches) &&
-                  (rw.windows_examined == 0 || rw.speculated_batches > 0);
-    }
-    accounted = accounted && r1.speculated_batches == 0;
-    if (t4 > 0.0) {
-      speedup_log_sum += std::log(t1 / t4);
-      ++speedup_n;
-    }
-    ts.row({name, core::Table::num(r1.nodes_rewritten, 0),
-            core::Table::num(r1.windows_examined, 0),
-            core::Table::num(static_cast<double>(r4.speculated_batches), 0),
-            core::Table::num(static_cast<double>(r4.spec_conflicts), 0),
-            core::Table::num(static_cast<double>(r4.spec_rescored), 0),
-            core::Table::num(t1, 1), core::Table::num(t4, 1),
-            core::Table::num(t1 / t4, 2) + "x"});
+    ts.row({name, std::to_string(r.gates_before),
+            core::Table::num(r.nodes_rewritten, 0),
+            core::Table::num(r.windows_examined, 0),
+            metric("logicopt.resynth.minterms"),
+            metric("logicopt.resynth.sim_reached"),
+            metric("logicopt.resynth.bdd_checked"), core::Table::num(ms, 1)});
   }
+  std::cout << "E26 serial window resynthesis:\n";
   ts.print(std::cout);
-  double speedup_geomean =
-      speedup_n ? std::exp(speedup_log_sum / static_cast<double>(speedup_n))
-                : 0.0;
-  std::cout << "\nspeculative resynthesis identity (1/2/4/8 workers): "
-            << (identical ? "bit-identical" : "BROKEN")
-            << "; resynth speedup geomean at 4 workers: "
-            << core::Table::num(speedup_geomean, 2) << "x ("
-            << std::thread::hardware_concurrency() << " hw threads)\n\n";
-
-  benchx::claim("E26.identity", identical);
-  benchx::claim("E26.conflicts_accounted", accounted);
+  std::cout << '\n';
 }
 
 // ---- timings: the engines, and the flow with/without the datapath stage --
@@ -248,14 +195,12 @@ void bm_engine(benchmark::State& state, Make make) {
 }
 
 template <typename Make>
-void bm_resynth(benchmark::State& state, Make make, int workers) {
+void bm_resynth(benchmark::State& state, Make make) {
   Netlist net = make();
   auto st = sim::measure_activity(net, 64, 5);
-  logicopt::ResynthOptions opt;
-  opt.workers = workers;
   for (auto _ : state) {
     Netlist work = net.clone();
-    auto res = logicopt::resynthesize_windows(work, st.transition_prob, opt);
+    auto res = logicopt::resynthesize_windows(work, st.transition_prob);
     benchmark::DoNotOptimize(res.nodes_rewritten);
   }
 }
@@ -279,19 +224,11 @@ void bm_rewrite_engine_dct8(benchmark::State& s) {
 void bm_rewrite_engine_mult8(benchmark::State& s) {
   bm_engine(s, [] { return bench::array_multiplier(8); });
 }
-// Speculation worker matrix: _w1/_w4 pairs feed the speculative_speedups
-// table in aggregate_bench.py (and the E26 wall-clock story).
-void bm_resynth_dct8_w1(benchmark::State& s) {
-  bm_resynth(s, [] { return bench::dct_butterfly(8); }, 1);
+void bm_resynth_dct8(benchmark::State& s) {
+  bm_resynth(s, [] { return bench::dct_butterfly(8); });
 }
-void bm_resynth_dct8_w4(benchmark::State& s) {
-  bm_resynth(s, [] { return bench::dct_butterfly(8); }, 4);
-}
-void bm_resynth_mult8_w1(benchmark::State& s) {
-  bm_resynth(s, [] { return bench::array_multiplier(8); }, 1);
-}
-void bm_resynth_mult8_w4(benchmark::State& s) {
-  bm_resynth(s, [] { return bench::array_multiplier(8); }, 4);
+void bm_resynth_mult8(benchmark::State& s) {
+  bm_resynth(s, [] { return bench::array_multiplier(8); });
 }
 void bm_rewrite_flow_dct8_base(benchmark::State& s) {
   bm_flow(s, [] { return bench::dct_butterfly(8); }, false);
@@ -301,10 +238,8 @@ void bm_rewrite_flow_dct8_dp(benchmark::State& s) {
 }
 BENCHMARK(bm_rewrite_engine_dct8);
 BENCHMARK(bm_rewrite_engine_mult8);
-BENCHMARK(bm_resynth_dct8_w1);
-BENCHMARK(bm_resynth_dct8_w4);
-BENCHMARK(bm_resynth_mult8_w1);
-BENCHMARK(bm_resynth_mult8_w4);
+BENCHMARK(bm_resynth_dct8);
+BENCHMARK(bm_resynth_mult8);
 BENCHMARK(bm_rewrite_flow_dct8_base);
 BENCHMARK(bm_rewrite_flow_dct8_dp);
 

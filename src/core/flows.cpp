@@ -112,9 +112,7 @@ void run_logic_stages(StageRunner& runner, const FlowOptions& opt) {
     });
     runner.attempt("resynth", [&](Netlist& net) {
       auto st = sim::measure_activity(net, 64, opt.seed);
-      logicopt::ResynthOptions rso;
-      rso.workers = opt.opt_workers;
-      logicopt::resynthesize_windows(net, st.transition_prob, rso);
+      logicopt::resynthesize_windows(net, st.transition_prob);
     });
   }
   if (opt.run_datapath) {

@@ -67,11 +67,8 @@ struct FlowOptions {
   /// a full re-run per stage (recorded in power.inc.* metrics); ZeroDelay
   /// trades glitch visibility for cone-scoped re-estimation.
   power::ActivityMode estimate_mode = power::ActivityMode::Timed;
-  /// Window-examination worker threads for the resynthesis stage
-  /// (logicopt/speculate.hpp), the one stage that speculates; the other
-  /// engines score serially.  Results are bit-identical at any value, so
-  /// this only changes wall-clock.  0 = the LPS_OPT_WORKERS environment
-  /// default; 1 = sequential.
+  /// Unused: every stage examines its candidates serially.  Kept only so
+  /// existing callers that assign it still compile; it changes nothing.
   int opt_workers = 0;
   power::PowerParams params;
   /// Optional cooperative cancellation token (not owned; must outlive the

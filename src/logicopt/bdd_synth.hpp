@@ -37,8 +37,8 @@
 //
 // Determinism: the engine is sequential and owns a private ZeroDelay
 // oracle seeded from the options, so the kept-cone sequence is a pure
-// function of the input netlist and options — independent of
-// LPS_OPT_WORKERS, lane width or thread count.
+// function of the input netlist and options — independent of lane width or
+// thread count.
 
 #pragma once
 

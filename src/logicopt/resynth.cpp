@@ -1,15 +1,15 @@
 #include "logicopt/resynth.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <optional>
 #include <set>
+#include <stdexcept>
 
 #include "bdd/bdd_netlist.hpp"
 #include "core/metrics.hpp"
-#include "logicopt/speculate.hpp"
+#include "core/parallel.hpp"
 #include "power/incremental.hpp"
+#include "sim/compiled.hpp"
 #include "sop/factoring.hpp"
 #include "sop/minimize.hpp"
 
@@ -53,21 +53,50 @@ bool build_window(const Netlist& net, NodeId n, int max_inputs,
   return true;
 }
 
-// Evaluate node `n` for one boundary assignment (scalar window simulation
-// over `window_order`, the interior nodes in topological order).
-bool eval_window(const Netlist& net, NodeId n,
-                 const std::vector<NodeId>& window_order,
-                 const std::vector<NodeId>& boundary, unsigned minterm) {
-  std::vector<std::uint64_t> value(net.size(), 0);
-  for (std::size_t i = 0; i < boundary.size(); ++i)
-    value[boundary[i]] = (minterm >> i & 1) ? ~0ULL : 0ULL;
-  for (NodeId id : window_order) {
-    const Node& nd = net.node(id);
-    std::vector<std::uint64_t> w;
-    for (NodeId f : nd.fanins) w.push_back(value[f]);
-    value[id] = eval_gate(nd.type, w);
+// Node n's local function as a minterm table over `boundary` (boundary[i]
+// is bit i of the minterm) in sop::var_table_word's layout, 64 minterms per
+// word: the interior is evaluated once per word in a local topological
+// order.
+std::vector<std::uint64_t> tabulate_window(
+    const Netlist& net, NodeId n, const std::vector<NodeId>& interior,
+    const std::vector<NodeId>& boundary) {
+  const std::size_t k = boundary.size();
+  const std::size_t W = k > 6 ? std::size_t{1} << (k - 6) : 1;
+  // Slot ids: the boundary, then the interior as it gets ordered.
+  std::vector<NodeId> ids(boundary);
+  std::vector<std::uint64_t> val(k * W);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t w = 0; w < W; ++w)
+      val[i * W + w] = sop::var_table_word(static_cast<unsigned>(i), w);
+  auto slot = [&ids](NodeId id) -> std::size_t {
+    return static_cast<std::size_t>(
+        std::find(ids.begin(), ids.end(), id) - ids.begin());
+  };
+  std::vector<NodeId> pending(interior);
+  std::vector<std::uint64_t> in;
+  while (!pending.empty()) {
+    auto ready = std::find_if(pending.begin(), pending.end(), [&](NodeId id) {
+      for (NodeId f : net.node(id).fanins)
+        if (slot(f) == ids.size()) return false;
+      return true;
+    });
+    if (ready == pending.end())
+      throw std::logic_error("resynth: window interior is not acyclic");
+    const Node& nd = net.node(*ready);
+    std::size_t base = val.size();
+    val.resize(base + W);
+    in.resize(nd.fanins.size());
+    for (std::size_t w = 0; w < W; ++w) {
+      for (std::size_t j = 0; j < in.size(); ++j)
+        in[j] = val[slot(nd.fanins[j]) * W + w];
+      val[base + w] = eval_gate(nd.type, in);
+    }
+    ids.push_back(*ready);
+    pending.erase(ready);
   }
-  return (value[n] & 1ULL) != 0;
+  std::size_t s = slot(n);
+  return {val.begin() + static_cast<std::ptrdiff_t>(s * W),
+          val.begin() + static_cast<std::ptrdiff_t>((s + 1) * W)};
 }
 
 // Gate cost of realizing a factored expression: one literal per AND/OR
@@ -87,22 +116,43 @@ int expr_cost(const sop::Expr& e) {
   }
 }
 
-// Everything the per-candidate examination computes before any mutation —
-// the unit the speculation workers evaluate against a batch snapshot.  A
-// plan transplants to the live netlist as long as nothing an earlier keep
-// touched (structurally or through its dirty activity cone) intersects the
-// plan's read set.
-struct WindowPlan {
-  enum class Status { Dead, Capped, NoBdds, Examined };
-  Status status = Status::Dead;
-  bool rewrite = false;  // expr beat the window's literal cost
-  sop::Expr expr;
-  std::vector<NodeId> boundary;
-  /// 2-level structural closure of the candidate plus its fanout context;
-  /// also the activity read set (boundary ⊆ closure).
-  std::vector<NodeId> reads;
-  std::exception_ptr error;  // examination failed; re-raised serially
-};
+// A lower bound on expr_cost of any factored form of `cover`: algebraic
+// factoring keeps every literal of an SCC-minimal cover at least once, so
+// each distinct literal costs at least 1, or 2 when negated.
+int cost_floor(const sop::Sop& cover) {
+  int floor = 0;
+  for (unsigned v = 0; v < cover.num_vars(); ++v) {
+    bool pos = false, neg = false;
+    for (const auto& c : cover.cubes()) {
+      pos = pos || c.has_pos(v);
+      neg = neg || c.has_neg(v);
+    }
+    floor += (pos ? 1 : 0) + (neg ? 2 : 0);
+  }
+  return floor;
+}
+
+// Reachability filter: kSimWords words of fixed-seed splitmix64 patterns
+// per BDD variable (512 assignments of the primary inputs and register
+// outputs).  A boundary minterm seen among them is reachable; only the
+// rest go to the BDD conjunction.
+constexpr std::size_t kSimWords = 8;
+constexpr std::uint64_t kPatternSeed = 0x5E5EED5EEDull;
+
+// The round-start netlist simulated on the filter patterns: node id x's
+// words at [x * kSimWords, (x + 1) * kSimWords).  Kept rewrites preserve
+// every surviving node's global function, so the words stay valid for the
+// whole round.
+std::vector<std::uint64_t> simulate_round(const Netlist& net,
+                                          const bdd::NetlistBdds& bdds) {
+  std::vector<std::uint64_t> val(net.size() * kSimWords, 0);
+  std::uint64_t k = 0;
+  for (NodeId v : bdds.var_node)
+    for (std::size_t w = 0; w < kSimWords; ++w)
+      val[v * kSimWords + w] = core::shard_seed(kPatternSeed, k++);
+  sim::CompiledSim(net).exec_all(val.data(), kSimWords);
+  return val;
+}
 
 }  // namespace
 
@@ -111,8 +161,6 @@ ResynthResult resynthesize_windows(Netlist& net,
                                    const ResynthOptions& opt) {
   ResynthResult res;
   res.gates_before = net.num_gates();
-  const int workers = speculate::resolve_workers(opt.workers);
-  res.workers_used = workers;
 
   // The cost oracle: a cone-scoped incremental analyzer the pass owns and
   // refreshes after every kept rewrite, so each window is weighted by the
@@ -136,9 +184,16 @@ ResynthResult resynthesize_windows(Netlist& net,
     return id < t.size() ? t[id] : 0.0;
   };
 
+  // Boundary minterms tabulated, found reachable by simulation, and sent to
+  // the BDD reachability check.
+  double minterms = 0, sim_reached = 0, bdd_checked = 0;
+
   // Cap reporting shared by every exit path (satellite of the silent-cap
   // fix: truncation always leaves a result field, a metric and a note).
-  auto finalize = [&res, &opt](std::size_t gates_after) -> ResynthResult& {
+  auto finalize = [&](std::size_t gates_after) -> ResynthResult& {
+    core::metrics::count("logicopt.resynth.minterms", minterms);
+    core::metrics::count("logicopt.resynth.sim_reached", sim_reached);
+    core::metrics::count("logicopt.resynth.bdd_checked", bdd_checked);
     if (res.rewrites_capped)
       core::metrics::count("logicopt.resynth.rewrites_capped");
     res.gates_after = gates_after;
@@ -156,40 +211,33 @@ ResynthResult resynthesize_windows(Netlist& net,
     return res;
   };
 
-  // Pure examination of one candidate: window extraction, local-function
-  // tabulation against `bdds`' reachability don't-cares, minimization and
-  // factoring.  Reads the netlist and the activity oracle, mutates only the
-  // given BDD manager (canonical results — manager state never affects the
-  // functions it returns, so per-worker managers built from the same round
-  // snapshot agree with the main one).
-  auto examine = [&](NodeId n, bdd::NetlistBdds& bdds) -> WindowPlan {
-    WindowPlan plan;
-    const NodeId seeds[1] = {n};
-    plan.reads = speculate::read_closure(net, seeds, 2);
-    if (net.is_dead(n)) return plan;  // consumed by an earlier rewrite
-    std::vector<NodeId> interior;
+  // One candidate window: extract it, tabulate the node's local function,
+  // mark unreachable boundary patterns as don't-cares, minimize, factor,
+  // and rebuild when the factored form is strictly cheaper.
+  auto examine = [&](NodeId n, bdd::NetlistBdds& bdds,
+                     const std::vector<std::uint64_t>& simval) {
+    if (net.is_dead(n)) return;  // consumed by an earlier rewrite
+    std::vector<NodeId> interior, boundary;
     bool win_capped = false;
-    if (!build_window(net, n, opt.max_window_inputs, interior, plan.boundary,
+    if (!build_window(net, n, opt.max_window_inputs, interior, boundary,
                       &win_capped)) {
-      plan.status =
-          win_capped ? WindowPlan::Status::Capped : WindowPlan::Status::NoBdds;
-      return plan;
+      if (win_capped) {
+        ++res.windows_capped;
+        core::metrics::count("logicopt.resynth.capped");
+      }
+      return;
     }
     // Rewrites may have created nodes without BDDs; skip such windows.
-    for (NodeId b : plan.boundary)
-      if (b >= bdds.node_fn.size()) {
-        plan.status = WindowPlan::Status::NoBdds;
-        return plan;
-      }
-    plan.status = WindowPlan::Status::Examined;
+    for (NodeId b : boundary)
+      if (b >= bdds.node_fn.size()) return;
+    ++res.windows_examined;
 
     auto& m = bdds.mgr;
     // Safe point: between windows only the rooted global functions are
     // live; shed accumulated reachability scaffolding before it can hit
     // the budget.
     if (m.live_nodes() >= opt.bdd_limit / 2) m.gc();
-    unsigned k = static_cast<unsigned>(plan.boundary.size());
-    sop::Sop onset(k), dcset(k);
+    const unsigned k = static_cast<unsigned>(boundary.size());
     // Replacement-cost baseline: the node's own literals plus those of
     // interior helpers that exist only for this node (single fanout).
     int window_lits = static_cast<int>(net.node(n).fanins.size());
@@ -198,14 +246,21 @@ ResynthResult resynthesize_windows(Netlist& net,
       if (net.node(w).fanouts.size() == 1)
         window_lits += static_cast<int>(net.node(w).fanins.size());
     }
-    // Interior nodes in dependency order for the window simulator.
-    std::vector<NodeId> window_order;
-    {
-      std::set<NodeId> in_set(interior.begin(), interior.end());
-      for (NodeId id : net.topo_order())
-        if (in_set.count(id)) window_order.push_back(id);
-    }
+    const std::vector<std::uint64_t> table =
+        tabulate_window(net, n, interior, boundary);
+    // seen[m]: boundary minterm m occurs among the simulated patterns.
+    std::vector<char> seen(std::size_t{1} << k, 0);
+    for (std::size_t w = 0; w < kSimWords; ++w)
+      for (unsigned bit = 0; bit < 64; ++bit) {
+        unsigned minterm = 0;
+        for (unsigned i = 0; i < k; ++i)
+          minterm |= static_cast<unsigned>(
+                         simval[boundary[i] * kSimWords + w] >> bit & 1)
+                     << i;
+        seen[minterm] = 1;
+      }
 
+    sop::Sop onset(k), dcset(k);
     for (unsigned minterm = 0; minterm < (1u << k); ++minterm) {
       sop::Cube c(k);
       for (unsigned i = 0; i < k; ++i) {
@@ -214,29 +269,61 @@ ResynthResult resynthesize_windows(Netlist& net,
         else
           c.set_neg(i);
       }
-      // Controllability DC: can any PI assignment realize this boundary
-      // pattern?  Conjunction of (boundary fn XNOR bit).
-      bdd::Ref reach = bdd::kTrue;
-      for (unsigned i = 0; i < k && reach != bdd::kFalse; ++i) {
-        bdd::Ref f = bdds.node_fn[plan.boundary[i]];
-        reach = m.land(reach, (minterm >> i & 1) ? f : m.lnot(f));
+      ++minterms;
+      if (seen[minterm]) {
+        ++sim_reached;
+      } else {
+        // Controllability DC: can any PI assignment realize this boundary
+        // pattern?  Conjunction of (boundary fn XNOR bit).
+        ++bdd_checked;
+        bdd::Ref reach = bdd::kTrue;
+        for (unsigned i = 0; i < k && reach != bdd::kFalse; ++i) {
+          bdd::Ref f = bdds.node_fn[boundary[i]];
+          reach = m.land(reach, (minterm >> i & 1) ? f : m.lnot(f));
+        }
+        if (reach == bdd::kFalse) {
+          dcset.add_cube(c);
+          continue;
+        }
       }
-      if (reach == bdd::kFalse) {
-        dcset.add_cube(c);
-        continue;
-      }
-      if (eval_window(net, n, window_order, plan.boundary, minterm))
-        onset.add_cube(c);
+      if (table[minterm / 64] >> (minterm % 64) & 1) onset.add_cube(c);
     }
 
     auto cover = sop::minimize(onset, dcset);
-    std::vector<double> w(k);
-    for (unsigned i = 0; i < k; ++i) w[i] = 0.05 + tog(plan.boundary[i]);
-    plan.expr = sop::factor_weighted(cover, w);
     // Keep only if strictly cheaper than the window it replaces (negated
     // literals cost an inverter each, so count them).
-    plan.rewrite = expr_cost(plan.expr) < window_lits;
-    return plan;
+    if (cost_floor(cover) >= window_lits) return;
+    std::vector<double> w(k);
+    for (unsigned i = 0; i < k; ++i) w[i] = 0.05 + tog(boundary[i]);
+    sop::Expr expr = sop::factor_weighted(cover, w);
+    if (expr_cost(expr) >= window_lits) return;
+
+    // Journal the mutation when re-scoring: the touched set scopes the
+    // activity refresh (nests correctly inside a flow stage's epoch).
+    bool journal = inc.has_value();
+    if (journal) net.begin_undo();
+    NodeId rebuilt = sop::build_expr(net, expr, boundary);
+    if (rebuilt == n) {
+      if (journal) net.rollback_undo();  // discard half-built helpers
+      return;
+    }
+    // build_expr may return a boundary node itself (constant/wire case);
+    // otherwise it is freshly constructed logic.
+    net.substitute(n, rebuilt);
+    net.sweep();
+    if (journal) {
+      try {
+        inc->reanalyze(net.touched_nodes());
+        ++res.rescored;
+      } catch (const std::exception&) {
+        // Estimator defect: the rewrite itself is already legal and kept;
+        // later windows fall back to the (stale) caller vector.
+        inc.reset();
+        core::metrics::count("logicopt.resynth.rescore_dropped");
+      }
+      net.commit_undo();
+    }
+    ++res.nodes_rewritten;
   };
 
   // Rewrites create nodes the current BDDs don't cover, so run rounds to a
@@ -245,13 +332,13 @@ ResynthResult resynthesize_windows(Netlist& net,
   int rounds = 0;
   while (round_changed && rounds++ < 4 &&
          res.nodes_rewritten < opt.max_rewrites) {
-    round_changed = false;
     bdd::NetlistBdds bdds;
     try {
       bdds = bdd::build_bdds(net, opt.bdd_limit);
     } catch (const bdd::NodeLimitExceeded&) {
       return finalize(net.num_gates());  // circuit too wide for exact DCs
     }
+    const std::vector<std::uint64_t> simval = simulate_round(net, bdds);
 
     // Candidate list fixed per round; rewrites only add nodes.
     std::vector<NodeId> candidates;
@@ -262,156 +349,17 @@ ResynthResult resynthesize_windows(Netlist& net,
       candidates.push_back(n);
     }
 
-    // Account for one examined plan and apply it when it rewrites — the
-    // tail of the sequential per-candidate body, shared verbatim between
-    // the sequential loop and the speculative commit loop.  `dirty`
-    // receives the keep's touched ids ∪ activity footprint (for the
-    // conflict set) when journaling is on.
-    auto commit_plan = [&](NodeId n, const WindowPlan& plan,
-                           std::vector<NodeId>* dirty) -> void {
-      switch (plan.status) {
-        case WindowPlan::Status::Dead:
-          return;
-        case WindowPlan::Status::Capped:
-          ++res.windows_capped;
-          core::metrics::count("logicopt.resynth.capped");
-          return;
-        case WindowPlan::Status::NoBdds:
-          return;
-        case WindowPlan::Status::Examined:
-          break;
+    const int rewritten_before = res.nodes_rewritten;
+    for (NodeId n : candidates) {
+      if (res.nodes_rewritten >= opt.max_rewrites) {
+        // Budget exhausted with windows still unexamined — never silent.
+        res.rewrites_capped = true;
+        break;
       }
-      ++res.windows_examined;
-      if (!plan.rewrite) return;
-
-      // Journal the mutation when re-scoring or speculating: the touched
-      // set scopes the activity refresh and the conflict footprint (nests
-      // correctly inside a flow stage's epoch).
-      bool journal = inc.has_value() || workers > 1;
-      if (journal) net.begin_undo();
-      NodeId rebuilt = sop::build_expr(net, plan.expr, plan.boundary);
-      if (rebuilt == n) {
-        if (journal) net.rollback_undo();  // discard half-built helpers
-        return;
-      }
-      // build_expr may return a boundary node itself (constant/wire case);
-      // otherwise it is freshly constructed logic.
-      net.substitute(n, rebuilt);
-      net.sweep();
-      if (journal) {
-        auto touched = net.touched_nodes();
-        if (dirty) {
-          *dirty = speculate::dirty_footprint(net, touched);
-          dirty->insert(dirty->end(), touched.ids.begin(), touched.ids.end());
-        }
-        if (inc) {
-          try {
-            inc->reanalyze(touched);
-            ++res.rescored;
-          } catch (const std::exception&) {
-            // Estimator defect: the rewrite itself is already legal and
-            // kept; later windows fall back to the (stale) caller vector.
-            inc.reset();
-            core::metrics::count("logicopt.resynth.rescore_dropped");
-          }
-        }
-        net.commit_undo();
-      }
-      ++res.nodes_rewritten;
-      round_changed = true;
-    };
-
-    // Speculative rounds examine on per-worker BDD views built once from
-    // the round-start netlist (kept rewrites preserve every node's global
-    // function — they only use boundary patterns no PI assignment reaches —
-    // so the views stay valid across the whole round).  A round with one
-    // worker, at most one candidate, or a view that failed to build runs
-    // the sequential loop: identical results, just no overlap.
-    int team = std::min<int>(workers, static_cast<int>(candidates.size()));
-    std::vector<std::optional<bdd::NetlistBdds>> wbdds;
-    if (team > 1) {
-      wbdds.resize(static_cast<std::size_t>(team));
-      std::atomic<bool> build_failed{false};
-      speculate::run_workers(team, [&](int w) {
-        try {
-          wbdds[static_cast<std::size_t>(w)].emplace(
-              bdd::build_bdds(net, opt.bdd_limit));
-        } catch (...) {
-          build_failed.store(true, std::memory_order_relaxed);
-        }
-      });
-      if (build_failed.load(std::memory_order_relaxed)) team = 1;
+      examine(n, bdds, simval);
     }
-    if (team <= 1) {
-      for (NodeId n : candidates) {
-        if (res.nodes_rewritten >= opt.max_rewrites) {
-          // Budget exhausted with windows still unexamined — never silent.
-          res.rewrites_capped = true;
-          break;
-        }
-        commit_plan(n, examine(n, bdds), nullptr);
-      }
-      continue;
-    }
-
-    const std::size_t batch_size =
-        static_cast<std::size_t>(8) * static_cast<std::size_t>(team);
-    bool budget_stop = false;
-    // Plans go stale once the activity oracle dies mid-batch (later plans
-    // were weighted through it): force the batch remainder serial.
-    for (std::size_t start = 0; start < candidates.size() && !budget_stop;
-         start += batch_size) {
-      std::size_t nb = std::min(batch_size, candidates.size() - start);
-      std::vector<WindowPlan> plans(nb);
-      std::atomic<std::size_t> next{0};
-      speculate::run_workers(team, [&](int w) {
-        bdd::NetlistBdds& view = *wbdds[static_cast<std::size_t>(w)];
-        for (;;) {
-          std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= nb) break;
-          try {
-            plans[i] = examine(candidates[start + i], view);
-          } catch (...) {
-            plans[i].error = std::current_exception();
-          }
-        }
-      });
-      ++res.speculated_batches;
-      core::metrics::count("logicopt.spec.batches");
-      core::metrics::count("logicopt.spec.speculated",
-                           static_cast<double>(nb));
-
-      speculate::ConflictSet committed(net.size());
-      bool inc_alive_at_batch = inc.has_value();
-      for (std::size_t i = 0; i < nb; ++i) {
-        if (res.nodes_rewritten >= opt.max_rewrites) {
-          res.rewrites_capped = true;
-          budget_stop = true;
-          break;
-        }
-        NodeId n = candidates[start + i];
-        WindowPlan& plan = plans[i];
-        // A failed examination is redone serially, where it raises at this
-        // window's sequential position if it fails again.
-        bool conflict = plan.error != nullptr ||
-                        (inc_alive_at_batch && !inc.has_value()) ||
-                        committed.hits(plan.reads);
-        if (conflict) {
-          ++res.spec_conflicts;
-          core::metrics::count("logicopt.spec.conflicts");
-          ++res.spec_rescored;
-          core::metrics::count("logicopt.spec.rescored");
-          std::vector<NodeId> dirty;
-          commit_plan(n, examine(n, bdds), &dirty);
-          committed.add(dirty);
-          continue;
-        }
-        std::vector<NodeId> dirty;
-        commit_plan(n, plan, &dirty);
-        committed.add(dirty);
-      }
-    }
-  }  // rounds
+    round_changed = res.nodes_rewritten > rewritten_before;
+  }
   if (res.nodes_rewritten >= opt.max_rewrites && round_changed)
     res.rewrites_capped = true;
   return finalize(net.num_gates());

@@ -9,7 +9,10 @@
 //      cut (<= max_window_inputs signals);
 //   2. tabulate the node's local function over boundary minterms;
 //   3. compute the local *controllability* don't-cares — boundary patterns
-//      no primary-input assignment can produce (exact, via global BDDs);
+//      no primary-input assignment can produce.  Exact: a pattern seen in
+//      a 512-pattern simulation of the round's netlist is reachable; only
+//      the unseen ones go to the global-BDD reachability conjunction
+//      (logicopt.resynth.{minterms, sim_reached, bdd_checked} metrics);
 //   4. minimize the local cover against those don't-cares (sop::minimize),
 //      factor it weighted by boundary-signal activity, and rebuild;
 //   5. keep the rewrite when the factored form costs fewer literals than
@@ -17,9 +20,7 @@
 //
 // Activities come from a cone-scoped incremental analyzer the pass owns and
 // refreshes after every kept rewrite, so each window is weighted by the
-// switching of the circuit as it currently stands.  Window examination is
-// the one optimization step that runs speculatively on worker threads
-// (logicopt/speculate.hpp, ResynthOptions::workers).
+// switching of the circuit as it currently stands.  The pass is serial.
 //
 // Function preservation is exact: the rewritten node agrees with the old
 // one on every *reachable* boundary pattern.
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -42,13 +44,8 @@ struct ResynthOptions {
   /// 4096 vectors = 64 words of 64 patterns.
   std::size_t rescore_vectors = 4096;
   std::uint64_t rescore_seed = 5;
-  /// Window-examination worker threads (logicopt/speculate.hpp): workers
-  /// evaluate window plans read-only against the live netlist using private
-  /// per-round BDD views; plans commit in candidate order and anything an
-  /// earlier keep touched (structurally or through its activity cone) is
-  /// re-examined serially.  Results are bit-identical at any value.
-  /// Batches hold 8 candidates per worker.  0 = the LPS_OPT_WORKERS
-  /// environment default; 1 = sequential.
+  /// Unused: the pass always examines windows serially.  Kept only so
+  /// existing callers that assign it still compile; it changes nothing.
   int workers = 0;
 };
 
@@ -67,12 +64,6 @@ struct ResynthResult {
   /// True when the max_rewrites budget stopped the pass with candidate
   /// windows still unexamined (logicopt.resynth.rewrites_capped metric).
   bool rewrites_capped = false;
-  /// Speculation accounting (workers > 1; zero in sequential runs, mirrored
-  /// in logicopt.spec.* metrics — conflicts are never silent).
-  std::size_t speculated_batches = 0;  // plan batches examined by workers
-  std::size_t spec_conflicts = 0;      // plans invalidated by an earlier keep
-  std::size_t spec_rescored = 0;       // conflicted plans re-examined serially
-  int workers_used = 1;                // resolved worker count for this run
   /// One-line diagnostic describing any cap that was hit; empty otherwise.
   std::string note;
 };

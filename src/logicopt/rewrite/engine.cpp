@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/metrics.hpp"
-#include "logicopt/speculate.hpp"
 #include "power/incremental.hpp"
 #include "sim/logicsim.hpp"
 
@@ -33,6 +32,32 @@ void force_throw_on_candidate(int n) {
   g_force_throw.store(n, std::memory_order_relaxed);
 }
 }  // namespace detail
+
+double score_delta(const power::Analysis& before, const power::Analysis& after,
+                   std::span<const NodeId> footprint) {
+  const auto& pb = before.report.node_power_w;
+  const auto& pa = after.report.node_power_w;
+  double acc = 0.0;
+  for (NodeId id : footprint) {
+    double b = id < pb.size() ? pb[id] : 0.0;
+    double a = id < pa.size() ? pa[id] : 0.0;
+    acc += a - b;
+  }
+  return acc + (after.clock_power_w - before.clock_power_w);
+}
+
+std::vector<NodeId> dirty_footprint(const Netlist& net,
+                                    const Netlist::TouchedNodes& touched) {
+  std::vector<bool> mask =
+      net.fanout_cone_of(touched.value_roots, /*through_dffs=*/true);
+  if (mask.size() < net.size()) mask.resize(net.size(), false);
+  for (NodeId id : touched.ids)
+    if (id < mask.size()) mask[id] = true;
+  std::vector<NodeId> out;
+  for (NodeId id = 0; id < mask.size(); ++id)
+    if (mask[id]) out.push_back(id);
+  return out;
+}
 
 RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
   core::metrics::ScopedTimer timer("logicopt.rewrite", /*trace=*/true);
@@ -95,9 +120,9 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
       throw;
     }
     ++res.candidates_scored;
-    std::vector<NodeId> fp = speculate::dirty_footprint(net, touched);
-    double delta_w = speculate::score_delta(oracle.previous_analysis(),
-                                            oracle.analysis(), fp);
+    std::vector<NodeId> fp = dirty_footprint(net, touched);
+    double delta_w =
+        score_delta(oracle.previous_analysis(), oracle.analysis(), fp);
     bool keep = delta_w < -opt.min_gain_w;
     if (keep) {
       bool mismatch = oracle.outputs_digest() != base_digest;

@@ -27,19 +27,20 @@
 // lane width or thread count — ZeroDelay statistics are bit-identical
 // across all of those), so the kept-rewrite sequence is a pure function of
 // the input netlist and options.  Candidates are judged by footprint-local
-// power deltas (logicopt/speculate.hpp score_delta over dirty_footprint).
+// power deltas (score_delta over dirty_footprint, below).
 //
 // The loop is serial.  Speculative scoring on worker threads was measured
 // at 0.43x the serial loop at 4 workers on a 4-vCPU host (about as many
-// conflicts as keeps, and each rewrite scores in microseconds), so window
-// resynthesis is the one engine that speculates (DESIGN.md, "Speculative
-// candidate scoring").
+// conflicts as keeps, and each rewrite scores in microseconds).
 
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "logicopt/rewrite/rules.hpp"
+#include "power/activity.hpp"
 
 namespace lps::logicopt::rewrite {
 
@@ -97,6 +98,19 @@ struct RewriteResult {
   std::size_t gates_before = 0;
   std::size_t gates_after = 0;
 };
+
+/// Footprint-local power delta between two analyses of the same oracle
+/// stimulus: the sum, in ascending `footprint` order, of node_power_w[after]
+/// − node_power_w[before] (ids beyond either vector count as zero), plus
+/// the clock-tree difference.
+double score_delta(const power::Analysis& before, const power::Analysis& after,
+                   std::span<const NodeId> footprint);
+
+/// Sorted unique dirty footprint of a journaled mutation: the touched ids
+/// plus the transitive fanout cone of its value roots (through registers),
+/// evaluated on the mutated netlist.
+std::vector<NodeId> dirty_footprint(const Netlist& net,
+                                    const Netlist::TouchedNodes& touched);
 
 /// Run the rewrite loop in place.  Mutations nest correctly inside a
 /// caller's active undo epoch (each candidate runs in an inner epoch).

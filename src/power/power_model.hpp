@@ -72,7 +72,7 @@ struct PowerReport {
   /// fanout loads, PO membership, toggle count — so two analyses that agree
   /// on a node's record and counters agree on its entry bit-for-bit.  The
   /// datapath rewriter sums footprint-local differences of these entries
-  /// (logicopt/speculate.hpp score_delta) to score a candidate.
+  /// (logicopt/rewrite/engine.hpp score_delta) to score a candidate.
   std::vector<double> node_power_w;
   double total_cap_f = 0.0;              // sum of node capacitances
   double weighted_activity = 0.0;        // sum over nodes of C * N (F/cycle)

@@ -21,7 +21,36 @@ int min_bits(int num_states) {
   return b;
 }
 
+// Emit, below `prefix` (state bits 0..bit-1 fixed), every one-bit-longer
+// prefix that no code in `used` extends.
+void emit_unused(sop::Sop& dc, const sop::Cube& prefix,
+                 const std::vector<std::uint32_t>& used, unsigned first_var,
+                 int bit, int bits) {
+  for (std::uint32_t value : {0u, 1u}) {
+    std::vector<std::uint32_t> sub;
+    for (std::uint32_t code : used)
+      if ((code >> bit & 1) == value) sub.push_back(code);
+    sop::Cube c = prefix;
+    if (value)
+      c.set_pos(first_var + bit);
+    else
+      c.set_neg(first_var + bit);
+    if (sub.empty())
+      dc.add_cube(std::move(c));
+    else if (bit + 1 < bits)
+      emit_unused(dc, c, sub, first_var, bit + 1, bits);
+  }
+}
+
 }  // namespace
+
+sop::Sop unused_code_dontcares(unsigned nv, unsigned first_var,
+                               const Encoding& enc) {
+  sop::Sop dc(nv);
+  if (enc.bits > 0 && enc.bits < 30)
+    emit_unused(dc, sop::Cube(nv), enc.codes, first_var, 0, enc.bits);
+  return dc;
+}
 
 double Encoding::weighted_switching(const Stg& stg) const {
   auto w = stg.edge_weights();
@@ -220,22 +249,7 @@ Netlist synthesize_fsm(const Stg& stg, const Encoding& enc,
     }
     return c;
   };
-  sop::Sop dc(nv);
-  if (enc.bits < 30) {
-    std::vector<bool> used(1u << enc.bits, false);
-    for (auto code : enc.codes) used[code] = true;
-    for (std::uint32_t code = 0; code < (1u << enc.bits); ++code) {
-      if (used[code]) continue;
-      sop::Cube c(nv);
-      for (int b = 0; b < enc.bits; ++b) {
-        if (code >> b & 1)
-          c.set_pos(stg.num_inputs() + b);
-        else
-          c.set_neg(stg.num_inputs() + b);
-      }
-      dc.add_cube(c);
-    }
-  }
+  sop::Sop dc = unused_code_dontcares(nv, stg.num_inputs(), enc);
 
   // Shared leaves: the var -> signal mapping for cube-to-gate expansion.
   std::vector<NodeId> leaf(nv);
@@ -372,22 +386,7 @@ int gate_self_loops_from_stg(Netlist& net, const Stg& stg,
   }
   if (self_cover.empty()) return 0;
   // Unassigned codes are free: minimize against them.
-  sop::Sop dc(nv);
-  if (enc.bits < 30) {
-    std::vector<bool> used(1u << enc.bits, false);
-    for (auto code : enc.codes) used[code] = true;
-    for (std::uint32_t code = 0; code < (1u << enc.bits); ++code) {
-      if (used[code]) continue;
-      sop::Cube c(nv);
-      for (int b = 0; b < enc.bits; ++b) {
-        if (code >> b & 1)
-          c.set_pos(stg.num_inputs() + b);
-        else
-          c.set_neg(stg.num_inputs() + b);
-      }
-      dc.add_cube(c);
-    }
-  }
+  sop::Sop dc = unused_code_dontcares(nv, stg.num_inputs(), enc);
   auto cover = sop::minimize(self_cover, dc);
 
   std::vector<NodeId> leaf(nv);

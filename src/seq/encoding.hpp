@@ -17,6 +17,7 @@
 
 #include "netlist/netlist.hpp"
 #include "seq/stg.hpp"
+#include "sop/sop.hpp"
 
 namespace lps::seq {
 
@@ -56,6 +57,15 @@ Encoding low_power_encoding(const Stg& stg, const AnnealOptions& opt = {});
 /// for inspection as "st<i>".
 Netlist synthesize_fsm(const Stg& stg, const Encoding& enc,
                        const std::string& name = "fsm");
+
+/// The state codes `enc` leaves unused, as a don't-care cover over `nv`
+/// variables whose state bits start at `first_var`: one cube per code-bit
+/// prefix that no used code extends (at most codes x bits cubes, where
+/// listing every unused minterm takes 2^bits - codes).  Empty when
+/// enc.bits >= 30.  synthesize_fsm and gate_self_loops_from_stg minimize
+/// against it.
+sop::Sop unused_code_dontcares(unsigned nv, unsigned first_var,
+                               const Encoding& enc);
 
 /// Extract the STG of a small sequential netlist by exhaustive reachability
 /// (2^(FFs+PIs) enumeration; throws if beyond `max_states_bits`).  State

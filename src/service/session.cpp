@@ -546,17 +546,6 @@ OpResult Session::optimize(const Json& params, const core::CancelToken* cancel) 
   fo.sim_vectors = cfg_.vectors;
   fo.seed = cfg_.seed;
   fo.cancel = cancel;
-  // Optional window-resynthesis worker count (the one flow stage that
-  // speculates).  The result is bit-identical at any value (only wall-clock
-  // changes), so the journal record deliberately omits it: a crash replay at
-  // a different worker count reconstructs the same circuit.
-  if (const Json* w = params.find("workers")) {
-    double d = w->is_number() ? w->as_number(-1) : -1;
-    if (!(d >= 1) || d > 256 || std::floor(d) != d)
-      return OpResult::error(ErrorCode::BadRequest,
-                             "'workers' must be an integer in [1, 256]");
-    fo.opt_workers = static_cast<int>(d);
-  }
 
   // The flow works on a copy; a cancellation (or failure) leaves the
   // session untouched.  CancelledError maps to a Deadline error here rather

@@ -1,6 +1,7 @@
 #include "sop/minimize.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace lps::sop {
 
@@ -50,7 +51,7 @@ bool tautology(const Sop& f) {
          tautology(literal_cofactor(f, v, true));
 }
 
-bool cube_covered(const Cube& c, const Sop& f) {
+bool cube_covered_by_cofactors(const Cube& c, const Sop& f) {
   // f covers c iff f cofactored by c is a tautology.
   Sop g = f;
   for (unsigned v = 0; v < c.num_vars(); ++v) {
@@ -58,6 +59,80 @@ bool cube_covered(const Cube& c, const Sop& f) {
     if (c.has_neg(v)) g = literal_cofactor(g, v, false);
   }
   return tautology(g);
+}
+
+namespace {
+
+constexpr std::uint64_t kVarWord[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
+}  // namespace
+
+std::uint64_t var_table_word(unsigned v, std::size_t w) {
+  if (v < 6) return kVarWord[v];
+  return (w >> (v - 6) & 1) ? ~0ull : 0;
+}
+
+namespace {
+
+// Minterm-table form of a cube over n <= kTableVars variables
+// (var_table_word's layout): the cube's minterms in word w are `low` when
+// (w & hi_care) == hi_val and none otherwise.  A contradictory cube is
+// empty, as in the cofactor recursion.
+constexpr unsigned kTableVars = 12;
+
+struct TableCube {
+  std::uint64_t low;
+  unsigned hi_care = 0, hi_val = 0;
+  bool in_word(unsigned w) const { return (w & hi_care) == hi_val; }
+};
+
+TableCube table_cube(const Cube& c, unsigned n) {
+  TableCube t{n >= 6 ? ~0ull : (1ull << (1u << n)) - 1};
+  for (unsigned v = 0; v < n; ++v) {
+    bool pos = c.has_pos(v), neg = c.has_neg(v);
+    if (pos && neg) return {0};
+    if (!pos && !neg) continue;
+    if (v < 6) {
+      t.low &= pos ? kVarWord[v] : ~kVarWord[v];
+    } else {
+      t.hi_care |= 1u << (v - 6);
+      if (pos) t.hi_val |= 1u << (v - 6);
+    }
+  }
+  return t;
+}
+
+}  // namespace
+
+bool cube_covered(const Cube& c, const Sop& f) {
+  const unsigned n = f.num_vars();
+  if (n > kTableVars || c.num_vars() != n || c.contradictory())
+    return cube_covered_by_cofactors(c, f);
+  // need[i]: c's minterms in table word words[i] that no cube of f covers yet.
+  const TableCube tc = table_cube(c, n);
+  const unsigned n_words = n > 6 ? 1u << (n - 6) : 1u;
+  unsigned words[1u << (kTableVars - 6)];
+  std::uint64_t need[1u << (kTableVars - 6)];
+  unsigned k = 0;
+  for (unsigned w = 0; w < n_words; ++w)
+    if (tc.in_word(w)) {
+      words[k] = w;
+      need[k++] = tc.low;
+    }
+  for (const auto& fc : f.cubes()) {
+    const TableCube t = table_cube(fc, n);
+    std::uint64_t left = 0;
+    for (unsigned i = 0; i < k; ++i) {
+      if (t.in_word(words[i])) need[i] &= ~t.low;
+      left |= need[i];
+    }
+    if (left == 0) return true;
+  }
+  for (unsigned i = 0; i < k; ++i)
+    if (need[i] != 0) return false;
+  return true;
 }
 
 bool sop_equal(const Sop& a, const Sop& b) {

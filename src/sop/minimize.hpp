@@ -9,11 +9,15 @@
 //   irredundant — drop cubes covered by the rest of the cover;
 //   reduce      — shrink cubes to their essential part to open new expand
 //                 directions.
-// Containment checks are exact (tautology-based cofactor recursion), so the
-// result is a verified cover of the original function.  Don't-care input
-// makes this the natural consumer of the ODC sets from logicopt/dontcare.
+// Containment checks are exact (minterm tables on small covers, cofactor
+// recursion on wide ones), so the result is a verified cover of the
+// original function.  Don't-care input makes this the natural consumer of
+// the ODC sets from logicopt/dontcare.
 
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
 
 #include "sop/sop.hpp"
 
@@ -27,9 +31,18 @@ struct MinimizeStats {
   int iterations = 0;
 };
 
-/// Does cube `c` lie entirely inside `f` (i.e. f covers c)?  Exact,
-/// via cofactor-and-tautology recursion.
+/// Does cube `c` lie entirely inside `f` (i.e. f covers c)?  Exact: up to
+/// 12 variables it compares minterm bit-masks, above that (or for a
+/// contradictory `c`) it runs cube_covered_by_cofactors.
 bool cube_covered(const Cube& c, const Sop& f);
+/// The same question by cofactor-and-tautology recursion — the path for
+/// wide covers and the reference the minterm-table path is tested against.
+bool cube_covered_by_cofactors(const Cube& c, const Sop& f);
+
+/// Word `w` of variable `v`'s minterm table, the layout cube_covered
+/// compares in: minterm m (variable v = bit v of m) sits at bit m % 64 of
+/// word m / 64, so variables 0..5 select bits inside a word and 6.. words.
+std::uint64_t var_table_word(unsigned v, std::size_t w);
 
 /// Is f a tautology?  (Exact; exponential worst case, fine at test scale.)
 bool tautology(const Sop& f);

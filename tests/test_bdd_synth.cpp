@@ -10,6 +10,7 @@
 
 #include "core/flows.hpp"
 #include "core/metrics.hpp"
+#include "core/parallel.hpp"
 #include "core/pass.hpp"
 #include "logicopt/bdd_synth.hpp"
 #include "netlist/benchmarks.hpp"
@@ -95,19 +96,19 @@ TEST(BddSynth, PassManagerIntegration) {
   EXPECT_TRUE(net.check().empty());
 }
 
-// The flow stage and the whole ladder around it are bit-identical at any
-// candidate-scoring worker count: the bdd_synth engine is sequential by
-// construction, and the speculative stages transplant deltas exactly.
+// The flow with the bdd_synth stage is bit-identical at any pool thread
+// count: every engine is serial, and the Monte Carlo estimates between
+// stages shard by workload, never by thread count.
 TEST(BddSynth, FlowIsBitIdenticalAcrossWorkerCounts) {
   const Netlist input = bench::alu_addsub(8);
   std::vector<std::uint64_t> hashes;
   std::vector<double> finals;
-  for (int workers : {1, 4}) {
-    core::FlowOptions fo;
-    fo.opt_workers = workers;
-    auto res = core::optimize_combinational(input, fo);
+  for (unsigned threads : {1u, 4u}) {
+    core::ScopedThreads pool(threads);
+    auto res = core::optimize_combinational(input, core::FlowOptions{});
     bool saw_stage = false;
-    for (const auto& s : res.stages) saw_stage |= s.stage.rfind("bdd_synth", 0) == 0;
+    for (const auto& s : res.stages)
+      saw_stage |= s.stage.rfind("bdd_synth", 0) == 0;
     EXPECT_TRUE(saw_stage);
     EXPECT_TRUE(sim::equivalent_random(input, res.circuit, 512, 23));
     hashes.push_back(structural_hash(res.circuit));

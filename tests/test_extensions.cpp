@@ -8,6 +8,7 @@
 
 #include "arch/macromodel.hpp"
 #include "bdd/bdd_netlist.hpp"
+#include "core/metrics.hpp"
 #include "logicopt/decompose_power.hpp"
 #include "logicopt/resynth.hpp"
 #include "netlist/benchmarks.hpp"
@@ -38,6 +39,73 @@ TEST(Minimize, CubeCovered) {
   EXPECT_FALSE(sop::cube_covered(Cube::parse("0-1"), f));
   // The two cubes together cover 10- and 01- but not 00-.
   EXPECT_FALSE(sop::cube_covered(Cube::parse("00-"), f));
+}
+
+// The minterm-table containment check (up to 12 variables) answers exactly
+// what the cofactor-tautology recursion answers.
+TEST(Minimize, TableContainmentMatchesCofactorRecursion) {
+  std::mt19937 rng(2024);
+  // Each variable gets a literal with probability `density`/8.
+  auto random_cube = [&](unsigned n, unsigned density) {
+    Cube c(n);
+    for (unsigned v = 0; v < n; ++v)
+      if (rng() % 8 < density) {
+        if (rng() & 1)
+          c.set_pos(v);
+        else
+          c.set_neg(v);
+      }
+    return c;
+  };
+  auto agree = [](const Cube& c, const Sop& f) {
+    return sop::cube_covered(c, f) == sop::cube_covered_by_cofactors(c, f);
+  };
+  int covered = 0;
+  for (unsigned n = 1; n <= 12; ++n) {
+    for (int trial = 0; trial < 40; ++trial) {
+      Sop f(n);
+      int m = static_cast<int>(rng() % 16);  // 0 = the empty SOP
+      unsigned density = 1 + rng() % 5;
+      for (int i = 0; i < m; ++i) f.add_cube(random_cube(n, density));
+      for (int q = 0; q < 8; ++q) {
+        Cube c = random_cube(n, 1 + rng() % 7);
+        EXPECT_TRUE(agree(c, f)) << "n=" << n << " c=" << c.to_string()
+                                 << " f=" << f.to_string();
+        covered += sop::cube_covered(c, f);
+      }
+      // A cube split on one variable is covered by its two halves and not
+      // by either half alone — across the in-word / word-index boundary
+      // (variables 5 and 6) too.
+      unsigned v = static_cast<unsigned>(rng() % n);
+      Cube c = random_cube(n, 3);
+      c.clear_var(v);
+      Cube hi = c, lo = c;
+      hi.set_pos(v);
+      lo.set_neg(v);
+      Sop halves(n, {hi, lo});
+      EXPECT_TRUE(sop::cube_covered(c, halves)) << "n=" << n << " v=" << v;
+      EXPECT_FALSE(sop::cube_covered(c, Sop(n, {hi}))) << "n=" << n;
+      EXPECT_TRUE(agree(c, halves));
+    }
+    // Empty SOP covers nothing; the universal cube is covered only by a
+    // tautology.
+    EXPECT_FALSE(sop::cube_covered(Cube(n), Sop(n)));
+    EXPECT_TRUE(sop::cube_covered(Cube(n), Sop(n, {Cube(n)})));
+    Cube x(n), nx(n);
+    x.set_pos(n - 1);
+    nx.set_neg(n - 1);
+    EXPECT_TRUE(sop::cube_covered(Cube(n), Sop(n, {x, nx})));
+    EXPECT_FALSE(sop::cube_covered(Cube(n), Sop(n, {x})));
+  }
+  EXPECT_GT(covered, 0);  // the random mix exercises both answers
+  for (unsigned n : {6u, 7u}) {
+    // Word boundary: variable 5 selects the high half of a word, 6 a word.
+    Sop f = Sop::parse(n, n == 6 ? "-----1" : "-----1- + ------1");
+    Cube in = Cube::parse(n == 6 ? "1----1" : "-----11");
+    Cube out = Cube::parse(n == 6 ? "0----0" : "0----00");
+    EXPECT_TRUE(sop::cube_covered(in, f));
+    EXPECT_FALSE(sop::cube_covered(out, f));
+  }
 }
 
 TEST(Minimize, ClassicMergeExample) {
@@ -199,6 +267,34 @@ TEST(Resynth, UsesControllabilityDontCares) {
   EXPECT_TRUE(bdd::equivalent_bdd(golden, net));
   EXPECT_LE(net.num_gates(), golden.num_gates());
   EXPECT_GT(r.windows_examined, 0);
+}
+
+TEST(Resynth, UnseenBoundaryPatternsAreProvenUnreachable) {
+  // b1 = AND of five inputs implies b2 = OR of the same five, so the
+  // boundary pattern (b1=1, b2=0) of g = b1 OR b2 is unreachable and
+  // g = b2 under that don't-care.  Simulation sees the other three
+  // patterns; the unreachable one can only be settled by the BDD check.
+  Netlist net;
+  std::vector<NodeId> x;
+  for (int i = 0; i < 5; ++i)
+    x.push_back(net.add_input("x" + std::to_string(i)));
+  NodeId b1 = net.add_gate(GateType::And, x);
+  NodeId b2 = net.add_gate(GateType::Or, x);
+  NodeId g = net.add_or(b1, b2);
+  net.add_output(g, "y");
+  net.add_output(b1, "b1");
+  auto golden = net.clone();
+  core::metrics::reset();
+  auto r = logicopt::resynthesize_windows(net, {});
+  double minterms = core::metrics::value("logicopt.resynth.minterms");
+  double sim_reached = core::metrics::value("logicopt.resynth.sim_reached");
+  double bdd_checked = core::metrics::value("logicopt.resynth.bdd_checked");
+  EXPECT_GT(bdd_checked, 0.0);
+  EXPECT_GT(sim_reached, 0.0);
+  EXPECT_EQ(minterms, sim_reached + bdd_checked);
+  EXPECT_GT(r.nodes_rewritten, 0);
+  EXPECT_EQ(net.outputs()[0], b2);  // the don't-care was taken
+  EXPECT_TRUE(bdd::equivalent_bdd(golden, net));
 }
 
 TEST(Resynth, PreservesFunctionOnSuite) {

@@ -11,6 +11,9 @@
 //  * apply_rule() on a stale candidate mutates nothing;
 //  * the engine's scoring is live: a kept rewrite re-scores later
 //    candidates (A flipping B's profitability is decided correctly);
+//  * the footprint-local delta it scores with, and outputs_digest() as a
+//    faithful PO-stream witness; the belt-and-braces verify_full mode
+//    changes no decision;
 //  * Netlist undo epochs nest (candidate epochs inside a stage epoch);
 //  * StageReport/PassRecord rollback accounting matches the journal's own
 //    rollback counter, including when a transform dies with an inner epoch
@@ -18,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/flows.hpp"
@@ -229,6 +233,55 @@ TEST(ScoreCandidate, ProbeMatchesFullAnalysisAndRevertsExactly) {
             power::analyze(net, ao).report.breakdown.total_w());
 }
 
+TEST(ScoreCandidate, ScoreDeltaSumsFootprintAndClockTerm) {
+  using logicopt::rewrite::score_delta;
+  power::Analysis before, after;
+  before.report.node_power_w = {1.0, 2.0, 3.0, 4.0};
+  after.report.node_power_w = {1.0, 2.5, 3.0, 3.25};
+  before.clock_power_w = after.clock_power_w = 0.75;
+  std::vector<NodeId> fp{1, 3};
+  EXPECT_DOUBLE_EQ(score_delta(before, after, fp),
+                   (2.5 - 2.0) + (3.25 - 4.0));
+  // Footprint entries beyond either vector score as zero (created/removed
+  // nodes).
+  std::vector<NodeId> fp2{1, 9};
+  EXPECT_DOUBLE_EQ(score_delta(before, after, fp2), 0.5);
+  // A moved clock term is included.
+  after.clock_power_w = 0.5;
+  EXPECT_DOUBLE_EQ(score_delta(before, after, fp),
+                   (2.5 - 2.0) + (3.25 - 4.0) + (0.5 - 0.75));
+}
+
+TEST(ScoreCandidate, OutputsDigestWitnessesPoStreams) {
+  Netlist net("digest");
+  NodeId a = net.add_input("a");
+  NodeId b = net.add_input("b");
+  NodeId g = net.add_and(a, b);
+  net.add_output(g, "f");
+  power::AnalysisOptions ao;
+  ao.mode = power::ActivityMode::ZeroDelay;
+  ao.n_vectors = 1024;
+  ao.seed = 7;
+  power::IncrementalAnalyzer oracle(net, ao);
+  std::uint64_t d0 = oracle.outputs_digest();
+
+  // An inexact edit (And -> Or) changes the PO stream: the digest moves,
+  // and reverting restores it.
+  net.begin_undo();
+  NodeId g2 = net.add_or(a, b);
+  net.substitute(g, g2);
+  net.sweep();
+  auto touched = net.touched_nodes();
+  oracle.reanalyze(touched);
+  EXPECT_NE(oracle.outputs_digest(), d0);
+  net.rollback_undo();
+  oracle.revert_last();
+  EXPECT_EQ(oracle.outputs_digest(), d0);
+
+  // previous_analysis() is only defined while an update is pending.
+  EXPECT_THROW((void)oracle.previous_analysis(), std::logic_error);
+}
+
 // ---- engine behavior ------------------------------------------------------
 
 TEST(RewriteEngine, SavesSwitchingPowerOnTheDatapathFamily) {
@@ -339,6 +392,35 @@ TEST(RewriteEngine, InjectedUnsoundRewriteIsRolledBackAndCounted) {
   EXPECT_EQ(core::metrics::value("logicopt.rewrite.unsound"), 1.0);
   EXPECT_EQ(net.check(), "");
   EXPECT_TRUE(sim::equivalent_random(original, net, 256, 77));
+}
+
+TEST(RewriteEngine, VerifyFullModeStaysIdentical) {
+  // The datapath family the E25 claim is measured on.
+  std::vector<bench::NamedNetlist> fam;
+  fam.push_back({"mult4", bench::array_multiplier(4)});
+  fam.push_back({"mult8", bench::array_multiplier(8)});
+  fam.push_back({"alu4", bench::alu(4)});
+  fam.push_back({"addsub8", bench::alu_addsub(8)});
+  fam.push_back({"dct8", bench::dct_butterfly(8)});
+  fam.push_back({"dct16", bench::dct_butterfly(16)});
+  for (auto& [name, input] : fam) {
+    Netlist a = input.clone();
+    Netlist b = input.clone();
+    RewriteOptions ro;
+    auto ra = rewrite_datapath(a, ro);
+    ro.verify_full = true;
+    auto rb = rewrite_datapath(b, ro);
+    EXPECT_EQ(structural_hash(a), structural_hash(b)) << name;
+    EXPECT_EQ(ra.kept, rb.kept) << name;
+    EXPECT_EQ(ra.reverted, rb.reverted) << name;
+    EXPECT_EQ(ra.stale, rb.stale) << name;
+    EXPECT_EQ(ra.candidates_seen, rb.candidates_seen) << name;
+    EXPECT_EQ(ra.candidates_scored, rb.candidates_scored) << name;
+    EXPECT_EQ(ra.unsound, 0u) << name;
+    EXPECT_EQ(rb.unsound, 0u) << name;
+    // Bitwise: the same keeps in the same order end on the same estimate.
+    EXPECT_EQ(ra.power_after_w, rb.power_after_w) << name;
+  }
 }
 
 // ---- stale cost oracle in resynth -----------------------------------------

@@ -16,6 +16,7 @@
 #include "netlist/benchmarks.hpp"
 #include "power/activity.hpp"
 #include "sim/logicsim.hpp"
+#include "sop/minimize.hpp"
 
 namespace lps::seq {
 namespace {
@@ -168,6 +169,53 @@ TEST(Encoding, ReencodePreservesBehaviour) {
   auto r = reencode_for_power(net);
   EXPECT_LE(r.wswitch_after, r.wswitch_before + 1e-9);
   EXPECT_TRUE(same_traces(net, r.circuit, 300, 11));
+}
+
+// The prefix cover of the unused state codes is exactly the set of unused
+// codes, whatever the encoding.
+TEST(Encoding, UnusedCodeDontCaresAreExactlyTheUnusedCodes) {
+  for (const Stg& g : {mcnc_dk27(), mcnc_bbara_fragment(),
+                       sequence_detector("110101"), counter_fsm(8)}) {
+    for (const Encoding& enc :
+         {binary_encoding(g), onehot_encoding(g), random_encoding(g, 23),
+          gray_walk_encoding(g)}) {
+      const unsigned first = static_cast<unsigned>(g.num_inputs());
+      const unsigned nv = first + static_cast<unsigned>(enc.bits);
+      sop::Sop dc = unused_code_dontcares(nv, first, enc);
+      EXPECT_LE(dc.num_cubes(), enc.codes.size() * enc.bits);
+      // The enumerated minterm set it replaces, one cube per unused code.
+      std::vector<bool> used(1u << enc.bits, false);
+      for (std::uint32_t code : enc.codes) used[code] = true;
+      sop::Sop minterms(nv);
+      for (std::uint32_t code = 0; code < used.size(); ++code) {
+        if (used[code]) continue;
+        sop::Cube c(nv);
+        for (int b = 0; b < enc.bits; ++b) {
+          if (code >> b & 1)
+            c.set_pos(first + b);
+          else
+            c.set_neg(first + b);
+        }
+        minterms.add_cube(c);
+      }
+      EXPECT_TRUE(sop::sop_equal(dc, minterms)) << enc.bits << " bits";
+    }
+  }
+}
+
+// Listing the unused codes as prefixes rather than minterms changes the
+// don't-care cover, not its function, and minimization depends only on
+// the function: these hashes were recorded from the minterm-listing build.
+TEST(Encoding, OneHotFsmsMatchTheMintermDontCareBuild) {
+  struct Golden {
+    Stg stg;
+    std::uint64_t hash;
+  };
+  for (const auto& [g, hash] :
+       {Golden{mcnc_dk27(), 0x4bc838bd135de14eull},
+        Golden{mcnc_bbara_fragment(), 0x636ae301bd3bd81cull},
+        Golden{sequence_detector("110101"), 0x41075d94d9398854ull}})
+    EXPECT_EQ(structural_hash(synthesize_fsm(g, onehot_encoding(g))), hash);
 }
 
 TEST(RetimeGraph, CorrelatorExample) {

@@ -456,36 +456,6 @@ TEST(ServiceVerbs, OptimizeKeepsResultAndJournals) {
             service::format_hash(structural_hash(net)));
 }
 
-TEST(ServiceVerbs, OptimizeWorkersParamIsBitIdenticalAndValidated) {
-  service::Service svc;
-  ASSERT_TRUE(
-      resp_ok(roundtrip(svc, load_frame("s1", bench_blif(), /*vectors=*/256))));
-  ASSERT_TRUE(
-      resp_ok(roundtrip(svc, load_frame("s2", bench_blif(), /*vectors=*/256))));
-  Json seq = roundtrip(
-      svc, R"({"verb":"optimize","session":"s1","flow":"combinational"})");
-  ASSERT_TRUE(resp_ok(seq));
-  Json par = roundtrip(
-      svc,
-      R"({"verb":"optimize","session":"s2","flow":"combinational","workers":4})");
-  ASSERT_TRUE(resp_ok(par));
-  // Speculation only changes wall-clock: the optimized circuit is the same.
-  EXPECT_EQ(par.find("hash")->as_string(), seq.find("hash")->as_string());
-  // Out-of-range or fractional worker counts are rejected up front.
-  EXPECT_EQ(err_code(roundtrip(
-                svc,
-                R"({"verb":"optimize","session":"s1","workers":0})")),
-            "bad_request");
-  EXPECT_EQ(err_code(roundtrip(
-                svc,
-                R"({"verb":"optimize","session":"s1","workers":2.5})")),
-            "bad_request");
-  EXPECT_EQ(err_code(roundtrip(
-                svc,
-                R"({"verb":"optimize","session":"s1","workers":1000})")),
-            "bad_request");
-}
-
 // ---------------------------------------------------------------------------
 // Cancellation / deadlines.
 

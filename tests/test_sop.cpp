@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 #include "sop/division.hpp"
 #include "sop/factoring.hpp"
@@ -140,6 +141,45 @@ TEST(Factor, ExprToString) {
   Sop f = Sop::parse(2, "11");
   Expr e = factor(f);
   EXPECT_EQ(e.to_string({"a", "b"}), "a*b");
+}
+
+// Window resynthesis skips factoring when the cover's distinct literals
+// alone already cost as much as the window: that bound holds because
+// algebraic factoring keeps every literal of an SCC-minimal cover.
+TEST(Factor, WeightedFactoringKeepsEveryLiteralOfTheCover) {
+  std::mt19937 rng(77);
+  auto literals = [](auto&& self, const Expr& e, std::set<unsigned>& out)
+      -> void {
+    if (e.kind == Expr::Kind::Lit) out.insert(2 * e.var + e.negated);
+    for (const auto& k : e.kids) self(self, k, out);
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    unsigned nv = 3 + rng() % 6;
+    Sop f(nv);
+    int cubes = 2 + static_cast<int>(rng() % 8);
+    for (int c = 0; c < cubes; ++c) {
+      Cube cu(nv);
+      for (unsigned v = 0; v < nv; ++v) {
+        switch (rng() % 3) {
+          case 0: cu.set_pos(v); break;
+          case 1: cu.set_neg(v); break;
+          default: break;
+        }
+      }
+      f.add_cube(cu);
+    }
+    f.minimize_scc();
+    std::set<unsigned> in_cover, in_expr;
+    for (const auto& c : f.cubes())
+      for (unsigned v = 0; v < nv; ++v) {
+        if (c.has_pos(v)) in_cover.insert(2 * v);
+        if (c.has_neg(v)) in_cover.insert(2 * v + 1);
+      }
+    std::vector<double> w(nv);
+    for (auto& x : w) x = 0.05 + (rng() % 100) / 100.0;
+    literals(literals, factor_weighted(f, w), in_expr);
+    EXPECT_EQ(in_cover, in_expr) << f.to_string();
+  }
 }
 
 // Property sweep: random SOPs, both factorings preserve function.

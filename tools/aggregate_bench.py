@@ -8,10 +8,8 @@ This script merges those files, computes parallel speedups for benchmarks
 registered with thread-count Args (names like "bm_foo_par/1" vs
 "bm_foo_par/4"), computes incremental-vs-full speedups for paired names
 ("bm_foo_full" vs "bm_foo_inc"), computes compiled-vs-interpreted engine
-speedups for paired names ("bm_foo_interp" vs "bm_foo_comp"), computes
-speculative-resynthesis speedups for worker-paired names
-("bm_resynth_dct8_w1" vs "bm_resynth_dct8_w4"), lifts the per-circuit datapath-rewrite savings out of the
-E25.saving.* claims, and
+speedups for paired names ("bm_foo_interp" vs "bm_foo_comp"), lifts the
+per-circuit datapath-rewrite savings out of the E25.saving.* claims, and
 writes one top-level document so the perf trajectory is tracked across PRs.
 
 By default an existing output file is MERGED, not overwritten: binaries
@@ -146,35 +144,6 @@ def simd_speedups(results):
     return out
 
 
-def speculative_speedups(results):
-    """Pair '<stem>_w1' baselines with '<stem>_w4' variants.
-
-    Worker-paired benchmarks (bench_rewrite's bm_resynth_*, bench_flow's
-    bm_flow) run the same workload with speculative window examination in
-    resynthesis at 1 and 4 workers; the results are bit-identical by
-    construction, so the ratio is purely the wall-clock win of speculation.
-    The ratio is honestly < 1 where conflicts or thread overhead outweigh
-    the overlap (e.g. with fewer than 4 hardware threads).
-    """
-    w1 = {}
-    for r in results:
-        m = re.fullmatch(r"(.+)_w1", r["name"])
-        if m:
-            w1[m.group(1)] = r["wall_ms"]
-    out = []
-    for r in results:
-        m = re.fullmatch(r"(.+)_w4", r["name"])
-        if m and m.group(1) in w1 and r["wall_ms"] > 0:
-            out.append(
-                {
-                    "name": m.group(1),
-                    "workers": 4,
-                    "speedup": round(w1[m.group(1)] / r["wall_ms"], 3),
-                }
-            )
-    return out
-
-
 def rewrite_savings(claims):
     """Extract the per-circuit datapath-rewrite savings table.
 
@@ -268,9 +237,6 @@ def main(argv):
         simd = simd_speedups(doc["results"])
         if simd:
             entry["simd_speedups"] = simd
-        spec = speculative_speedups(doc["results"])
-        if spec:
-            entry["speculative_speedups"] = spec
         rw = rewrite_savings(doc.get("claims"))
         if rw:
             entry["rewrite_savings"] = rw

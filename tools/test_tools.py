@@ -188,38 +188,6 @@ class AggregateBenchTest(unittest.TestCase):
         (entry,) = out["benchmarks"]
         self.assertNotIn("simd_speedups", entry)
 
-    def test_speculative_speedups_from_worker_pairs(self):
-        a = os.path.join(self.dir.name, "a.json")
-        doc = bench_doc("bench_rewrite", 10.0)
-        doc["results"] += [
-            {"name": "bm_resynth_dct8_w1", "wall_ms": 6.0,
-             "iterations": 5},
-            {"name": "bm_resynth_dct8_w4", "wall_ms": 2.0,
-             "iterations": 5},
-            # A 1-core box is honestly slower with workers.
-            {"name": "bm_flow_w1", "wall_ms": 3.0, "iterations": 5},
-            {"name": "bm_flow_w4", "wall_ms": 4.0, "iterations": 5},
-            # Unpaired names contribute nothing.
-            {"name": "bm_orphan_w4", "wall_ms": 1.0, "iterations": 5},
-        ]
-        write_json(a, doc)
-        out = self.run_agg([a])
-        (entry,) = out["benchmarks"]
-        by_name = {s["name"]: (s["workers"], s["speedup"])
-                   for s in entry["speculative_speedups"]}
-        self.assertEqual(by_name, {"bm_resynth_dct8": (4, 3.0),
-                                   "bm_flow": (4, 0.75)})
-
-    def test_speculative_speedups_absent_without_pairs(self):
-        a = os.path.join(self.dir.name, "a.json")
-        doc = bench_doc("bench_a", 10.0)
-        doc["results"].append(
-            {"name": "bm_solo_w1", "wall_ms": 3.0, "iterations": 5})
-        write_json(a, doc)
-        out = self.run_agg([a])
-        (entry,) = out["benchmarks"]
-        self.assertNotIn("speculative_speedups", entry)
-
     def test_rewrite_savings_from_e25_claims(self):
         a = os.path.join(self.dir.name, "a.json")
         doc = bench_doc("bench_rewrite", 10.0, {
