@@ -105,9 +105,9 @@ int main(int argc, char** argv) {
     } else if (cmd == "optimize") {
       if (argc < 4) return usage();
       auto r = core::optimize_combinational(net);
-      core::Table t({"stage", "power uW", "gates"});
+      core::Table t({"stage", "status", "power uW", "gates"});
       for (const auto& s : r.stages)
-        t.row({s.stage, core::Table::num(s.power_w * 1e6, 2),
+        t.row({s.stage, s.status, core::Table::num(s.power_w * 1e6, 2),
                std::to_string(s.gates)});
       t.print(std::cout);
       std::cout << "saving: " << core::Table::pct(r.saving()) << "\n";

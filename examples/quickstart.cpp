@@ -43,9 +43,10 @@ int main(int argc, char** argv) {
   opt.sim_vectors = 2048;
   auto flow = core::optimize_combinational(net, opt);
 
-  core::Table t({"stage", "power (uW)", "glitch %", "gates", "delay"});
+  core::Table t(
+      {"stage", "status", "power (uW)", "glitch %", "gates", "delay"});
   for (const auto& s : flow.stages)
-    t.row({s.stage, core::Table::num(s.power_w * 1e6, 2),
+    t.row({s.stage, s.status, core::Table::num(s.power_w * 1e6, 2),
            core::Table::pct(s.glitch_fraction), std::to_string(s.gates),
            std::to_string(s.delay)});
   t.print(std::cout);

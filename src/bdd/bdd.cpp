@@ -70,8 +70,8 @@ Manager::Manager(unsigned num_vars, std::size_t node_limit)
 Manager::~Manager() {
   if (nodes_.empty()) return;  // moved-from shell: its stats moved on
   core::metrics::count("bdd.managers");
-  core::metrics::count("bdd.peak_live",
-                       static_cast<double>(peak_live_nodes_));
+  core::metrics::gauge_max("bdd.peak_live",
+                           static_cast<double>(peak_live_nodes_));
   flush_metrics();
 }
 
@@ -84,8 +84,10 @@ void Manager::flush_metrics() {
   if (gc_runs_) m::count("bdd.gc.runs", static_cast<double>(gc_runs_));
   if (gc_swept_) m::count("bdd.gc.swept", static_cast<double>(gc_swept_));
   if (sift_swaps_) m::count("bdd.sift.swaps", static_cast<double>(sift_swaps_));
+  if (sift_visited_)
+    m::count("bdd.sift.visited", static_cast<double>(sift_visited_));
   nodes_allocated_ = cache_lookups_ = cache_hits_ = unique_hits_ = 0;
-  gc_runs_ = gc_swept_ = sift_swaps_ = 0;
+  gc_runs_ = gc_swept_ = sift_swaps_ = sift_visited_ = 0;
 }
 
 unsigned Manager::add_var() {
@@ -99,16 +101,9 @@ void Manager::grow_unique(std::size_t min_slots) {
   std::size_t ns = unique_slots_.size();
   while (ns < min_slots) ns <<= 1;
   unique_slots_.assign(ns, kEmptySlot);
-  std::size_t mask = ns - 1;
   unique_used_ = 0;
-  for (std::uint32_t idx = 1; idx < nodes_.size(); ++idx) {
-    const Node& n = nodes_[idx];
-    if (n.var == kFreeVar) continue;
-    std::size_t i = hash3(n.var, n.lo, n.hi) & mask;
-    while (unique_slots_[i] != kEmptySlot) i = (i + 1) & mask;
-    unique_slots_[i] = idx;
-    ++unique_used_;
-  }
+  for (std::uint32_t idx = 1; idx < nodes_.size(); ++idx)
+    if (nodes_[idx].var != kFreeVar) unique_insert(idx);
   // Scale the computed table with the unique table (2-way sets; rehash
   // preserves recency because way-0 entries reinsert last).
   std::size_t want = std::clamp(ns / 2, kMinIteEntries, kMaxIteEntries);
@@ -130,6 +125,36 @@ void Manager::grow_unique(std::size_t min_slots) {
 }
 
 void Manager::rebuild_unique() { grow_unique(unique_slots_.size()); }
+
+void Manager::unique_insert(std::uint32_t idx) {
+  const Node& n = nodes_[idx];
+  const std::size_t mask = unique_slots_.size() - 1;
+  std::size_t i = hash3(n.var, n.lo, n.hi) & mask;
+  while (unique_slots_[i] != kEmptySlot) i = (i + 1) & mask;
+  unique_slots_[i] = idx;
+  ++unique_used_;
+}
+
+void Manager::unique_erase(std::uint32_t idx) {
+  const Node& n = nodes_[idx];
+  const std::size_t mask = unique_slots_.size() - 1;
+  std::size_t hole = hash3(n.var, n.lo, n.hi) & mask;
+  while (unique_slots_[hole] != idx) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home slot lies cyclically in (hole, j] — then it
+  // would become unreachable from home.
+  for (std::size_t j = (hole + 1) & mask; unique_slots_[j] != kEmptySlot;
+       j = (j + 1) & mask) {
+    const Node& e = nodes_[unique_slots_[j]];
+    std::size_t home = hash3(e.var, e.lo, e.hi) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      unique_slots_[hole] = unique_slots_[j];
+      hole = j;
+    }
+  }
+  unique_slots_[hole] = kEmptySlot;
+  --unique_used_;
+}
 
 void Manager::reserve(std::size_t n) {
   nodes_.reserve(n + 1);
@@ -403,29 +428,56 @@ void Manager::maybe_gc(std::span<const Ref> pins) {
   gc_trigger_ = std::max(gc_trigger_base_, live_nodes_ * 2);
 }
 
-void Manager::swap_levels(unsigned l, std::vector<std::size_t>& counts) {
-  unsigned x = var_at_[l], y = var_at_[l + 1];
-  // Nodes labelled x with a y-child are the only ones the swap rewrites.
-  std::vector<std::uint32_t> r_set;
-  for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    if (n.var != x) continue;
-    bool lo_y = !is_const(n.lo) && nodes_[index_of(n.lo)].var == y;
-    bool hi_y = !is_const(n.hi) && nodes_[index_of(n.hi)].var == y;
-    if (lo_y || hi_y) r_set.push_back(i);
-  }
+// Sift-local view of the live DAG, built once per sift() so each swap
+// touches only its two levels: the live nodes of every variable, and every
+// node's in-degree (external roots plus parent edges).  A node dies the
+// moment its in-degree reaches zero.
+struct Manager::SiftState {
+  std::vector<std::vector<std::uint32_t>> nodes_of;  // var -> live nodes
+  std::vector<std::uint32_t> indeg;                  // per node index
+  // Per-swap scratch, kept to avoid reallocating on every swap.
+  std::vector<std::uint32_t> rewrite, fresh, dead;
   struct Rw {
-    std::uint32_t idx;
     Ref a0, a1;
   };
   std::vector<Rw> rws;
-  rws.reserve(r_set.size());
-  // Pass 1 (may throw NodeLimitExceeded): build the new cofactor children.
-  // Only garbage is created on a throw — order and nodes are untouched.
-  for (std::uint32_t i : r_set) {
+};
+
+void Manager::swap_levels(unsigned l, SiftState& st) {
+  const unsigned x = var_at_[l], y = var_at_[l + 1];
+  auto is_y = [&](Ref e) {
+    return !is_const(e) && nodes_[index_of(e)].var == y;
+  };
+  std::vector<std::uint32_t>& xs = st.nodes_of[x];
+  std::vector<std::uint32_t>& ys = st.nodes_of[y];
+  sift_visited_ += xs.size() + ys.size();
+  // Nodes labelled x with a y-child are the only ones the swap rewrites.
+  // Ascending index order makes mk() allocate exactly as a scan of the
+  // whole node array would.
+  st.rewrite.clear();
+  std::size_t kept = 0;
+  for (std::uint32_t i : xs) {
+    if (is_y(nodes_[i].lo) || is_y(nodes_[i].hi))
+      st.rewrite.push_back(i);
+    else
+      xs[kept++] = i;
+  }
+  std::sort(st.rewrite.begin(), st.rewrite.end());
+  // Pass 1 (may throw NodeLimitExceeded; sift() then collects the
+  // orphans): build the new cofactor children.  Order and existing nodes
+  // are untouched until pass 2.
+  st.rws.clear();
+  st.fresh.clear();
+  auto mk_x = [&](Ref lo, Ref hi) {
+    const std::uint64_t before = nodes_allocated_;
+    Ref r = mk(x, lo, hi);
+    if (nodes_allocated_ != before) st.fresh.push_back(index_of(r));
+    return r;
+  };
+  for (std::uint32_t i : st.rewrite) {
     Node n = nodes_[i];  // copy: mk may reallocate nodes_
     auto split = [&](Ref e, Ref& c0, Ref& c1) {
-      if (!is_const(e) && nodes_[index_of(e)].var == y) {
+      if (is_y(e)) {
         const Node& en = nodes_[index_of(e)];
         Ref c = e & 1u;
         c0 = en.lo ^ c;
@@ -437,31 +489,77 @@ void Manager::swap_levels(unsigned l, std::vector<std::size_t>& counts) {
     Ref l0, l1, h0, h1;
     split(n.lo, l0, l1);
     split(n.hi, h0, h1);
-    Ref a0 = mk(x, l0, h0);
-    Ref a1 = mk(x, l1, h1);
+    Ref a0 = mk_x(l0, h0);
+    Ref a1 = mk_x(l1, h1);
     // a1 is regular by construction (then-edges are regular), so the
     // in-place rewrite below never flips the node's polarity, and a
     // reachable y-node implies dependence on y, so a0 != a1.
     LPS_CHECK(a0 != a1, "level swap produced a redundant node");
     LPS_CHECK(!complement_ || !is_complemented(a1),
               "level swap produced a complemented then-edge");
-    rws.push_back({i, a0, a1});
+    st.rws.push_back({a0, a1});
   }
-  // Pass 2 (no-throw): swap the order, rewrite in place — every rooted Ref
-  // keeps its index and function — then rebuild tables and collect the
-  // orphaned cofactor structure.
+  // Pass 2 (no-throw): swap the order and rewrite in place — every rooted
+  // Ref keeps its index and function — re-keying each rewritten node in
+  // the unique table.
   var_at_[l] = y;
   var_at_[l + 1] = x;
   level_of_[x] = l + 1;
   level_of_[y] = l;
-  for (const Rw& rw : rws) nodes_[rw.idx] = Node{y, rw.a0, rw.a1};
   ++sift_swaps_;
-  if (!rws.empty()) {
-    collect({});
-    std::fill(counts.begin(), counts.end(), 0);
-    for (std::uint32_t i = 1; i < nodes_.size(); ++i)
-      if (nodes_[i].var != kFreeVar) ++counts[nodes_[i].var];
+  if (st.rewrite.empty()) return;
+  st.indeg.resize(nodes_.size(), 0);
+  for (std::uint32_t f : st.fresh) {
+    ++st.indeg[index_of(nodes_[f].lo)];
+    ++st.indeg[index_of(nodes_[f].hi)];
   }
+  st.dead.clear();
+  auto drop_edge = [&](Ref e) {
+    std::uint32_t c = index_of(e);
+    if (--st.indeg[c] == 0 && c != 0) st.dead.push_back(c);
+  };
+  for (std::size_t k = 0; k < st.rewrite.size(); ++k) {
+    const std::uint32_t i = st.rewrite[k];
+    const Node old = nodes_[i];
+    unique_erase(i);
+    nodes_[i] = Node{y, st.rws[k].a0, st.rws[k].a1};
+    unique_insert(i);
+    ++st.indeg[index_of(st.rws[k].a0)];
+    ++st.indeg[index_of(st.rws[k].a1)];
+    drop_edge(old.lo);
+    drop_edge(old.hi);
+  }
+  // Orphans go to the free list in ascending index order — the order a
+  // full mark-and-sweep would thread them.  Only old y-nodes can orphan:
+  // every grandchild they pointed at is still reached through a rewritten
+  // node or one of the new cofactors.
+  std::sort(st.dead.begin(), st.dead.end());
+  for (std::uint32_t d : st.dead) {
+    const Node n = nodes_[d];
+    LPS_CHECK(n.var == y, "level swap orphaned a node outside its levels");
+    for (Ref e : {n.lo, n.hi}) {
+      std::uint32_t c = index_of(e);
+      --st.indeg[c];
+      LPS_CHECK(c == 0 || st.indeg[c] != 0,
+                "level swap orphaned a node below its levels");
+    }
+    unique_erase(d);
+    nodes_[d] = Node{kFreeVar, free_head_, 0};
+    free_head_ = d;
+    ++free_count_;
+  }
+  live_nodes_ -= st.dead.size();
+  // Level lists: x keeps its untouched nodes and gains the new cofactors;
+  // y loses its orphans and gains the rewritten nodes.
+  xs.resize(kept);
+  xs.insert(xs.end(), st.fresh.begin(), st.fresh.end());
+  if (!st.dead.empty())
+    ys.erase(std::remove_if(ys.begin(), ys.end(),
+                            [&](std::uint32_t i) {
+                              return nodes_[i].var == kFreeVar;
+                            }),
+             ys.end());
+  ys.insert(ys.end(), st.rewrite.begin(), st.rewrite.end());
 }
 
 void Manager::sift(const SiftOptions& opt) {
@@ -469,56 +567,73 @@ void Manager::sift(const SiftOptions& opt) {
   if (num_vars_ < 2) return;
   collect({});  // exact per-variable counts need a garbage-free node array
   const unsigned n_levels = num_vars_;
-  std::vector<std::size_t> counts(n_levels, 0);
-  for (std::uint32_t i = 1; i < nodes_.size(); ++i)
-    if (nodes_[i].var != kFreeVar) ++counts[nodes_[i].var];
+  SiftState st;
+  st.nodes_of.resize(n_levels);
+  st.indeg.assign(nodes_.size(), 0);
+  for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    if (n.var == kFreeVar) continue;
+    st.nodes_of[n.var].push_back(i);
+    st.indeg[i] += ref_count_[i];
+    ++st.indeg[index_of(n.lo)];
+    ++st.indeg[index_of(n.hi)];
+  }
   auto weight = [&](unsigned v) {
     return v < opt.weights.size() ? opt.weights[v] : 1.0;
   };
+  auto count = [&](unsigned v) { return st.nodes_of[v].size(); };
   auto cost = [&] {
     double c = 0.0;
     for (unsigned v = 0; v < n_levels; ++v)
-      c += weight(v) * static_cast<double>(counts[v]);
+      c += weight(v) * static_cast<double>(count(v));
     return c;
   };
   // Sift the busiest variables first (ties by index for determinism).
   std::vector<unsigned> order(n_levels);
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
-    return counts[a] > counts[b];
+    return count(a) > count(b);
   });
   std::size_t n_sift = opt.max_vars
                            ? std::min<std::size_t>(opt.max_vars, n_levels)
                            : n_levels;
-  for (std::size_t k = 0; k < n_sift; ++k) {
-    unsigned v = order[k];
-    if (counts[v] == 0) continue;
-    double cur = cost();
-    double best = cur;
-    unsigned best_level = level_of_[v];
-    while (level_of_[v] + 1 < n_levels) {  // walk down
-      swap_levels(level_of_[v], counts);
-      cur = cost();
-      if (cur < best) {
-        best = cur;
-        best_level = level_of_[v];
-      } else if (cur > best * opt.growth_limit) {
-        break;
+  try {
+    for (std::size_t k = 0; k < n_sift; ++k) {
+      unsigned v = order[k];
+      if (count(v) == 0) continue;
+      double cur = cost();
+      double best = cur;
+      unsigned best_level = level_of_[v];
+      while (level_of_[v] + 1 < n_levels) {  // walk down
+        swap_levels(level_of_[v], st);
+        cur = cost();
+        if (cur < best) {
+          best = cur;
+          best_level = level_of_[v];
+        } else if (cur > best * opt.growth_limit) {
+          break;
+        }
       }
-    }
-    while (level_of_[v] > 0) {  // walk up through the whole order
-      swap_levels(level_of_[v] - 1, counts);
-      cur = cost();
-      if (cur < best) {
-        best = cur;
-        best_level = level_of_[v];
-      } else if (cur > best * opt.growth_limit) {
-        break;
+      while (level_of_[v] > 0) {  // walk up through the whole order
+        swap_levels(level_of_[v] - 1, st);
+        cur = cost();
+        if (cur < best) {
+          best = cur;
+          best_level = level_of_[v];
+        } else if (cur > best * opt.growth_limit) {
+          break;
+        }
       }
+      while (level_of_[v] < best_level) swap_levels(level_of_[v], st);
+      while (level_of_[v] > best_level) swap_levels(level_of_[v] - 1, st);
     }
-    while (level_of_[v] < best_level) swap_levels(level_of_[v], counts);
-    while (level_of_[v] > best_level) swap_levels(level_of_[v] - 1, counts);
+  } catch (const NodeLimitExceeded&) {
+    collect({});  // sweep the failed swap's half-built cofactors
+    throw;
   }
+  // Freed nodes may be reused by the next mk(); cached triples must not
+  // outlive them.
+  ite_cache_.assign(ite_cache_.size(), IteEntry{});
 }
 
 double Manager::sat_count(Ref f) {

@@ -39,18 +39,25 @@
 //  * sifting-based dynamic reordering (sift()).  Variables move through
 //    the order by adjacent-level swaps that rewrite affected nodes in
 //    place, so rooted Refs survive reordering with their functions intact
-//    (unrooted Refs do not: each swap garbage-collects).  The cost
-//    function is sum over variables of live-node-count × weight, so a
-//    caller can weight levels by per-variable switching activity
-//    (SiftOptions::weights, fed from sim::ActivityTrace) and the order
-//    optimizes toward cheap MUX networks rather than raw size.
+//    (unrooted Refs do not: sift collects on entry).  Swaps are
+//    level-local: sift builds per-variable node lists and in-degrees once,
+//    and each swap touches only its two levels, freeing a node the moment
+//    its in-degree reaches zero.  The cost function is sum over variables
+//    of live-node-count × weight, so a caller can weight levels by
+//    per-variable switching activity (SiftOptions::weights, fed from
+//    sim::ActivityTrace) and the order optimizes toward cheap MUX networks
+//    rather than raw size.
 //
 // Counter lifetime: the bdd.* metrics (allocation, table and GC counters)
 // are flushed to the global registry by clear_caches() and by the
 // destructor, and reset to zero on each flush — a long-lived manager
 // (e.g. a per-round resynthesis BDD view) reports per-window deltas, not
 // stale lifetime totals.  Accessors (cache_hits() etc.) read the
-// counters accumulated since the last flush.
+// counters accumulated since the last flush.  bdd.gc.runs / bdd.gc.swept
+// count real mark-and-sweep collections only (gc(), auto-GC, sift's entry
+// and its node-limit recovery), never the nodes a sift swap frees;
+// bdd.sift.visited counts the nodes swaps examine.  bdd.peak_live is a
+// high-water gauge: the largest single manager's peak, not a sum.
 
 #pragma once
 
@@ -127,6 +134,8 @@ class Manager {
   std::uint64_t gc_runs() const { return gc_runs_; }
   std::uint64_t gc_swept() const { return gc_swept_; }
   std::uint64_t sift_swaps() const { return sift_swaps_; }
+  /// Nodes the swaps examined: both level lists of every swap.
+  std::uint64_t sift_visited() const { return sift_visited_; }
 
   /// Capacity hint: pre-size the node array and unique table for about `n`
   /// nodes, avoiding growth rehashes during a large build.
@@ -177,13 +186,17 @@ class Manager {
   void set_auto_gc(bool on) { auto_gc_ = on; }
 
   /// Dynamic reordering by sifting.  Requires every function the caller
-  /// still cares about to be ref()'d: each adjacent-level swap rewrites
-  /// affected nodes in place (rooted Refs keep their identity and
-  /// function) and collects garbage.  weights[v] scales the cost of a
-  /// live node labelled v (missing entries count 1.0) — pass per-variable
-  /// switching activity to bias the order toward low-power MUX networks.
-  /// May throw NodeLimitExceeded mid-sift; the manager stays valid (order
-  /// moved only by completed swaps, functions preserved).
+  /// still cares about to be ref()'d: sift collects once on entry, then
+  /// each adjacent-level swap rewrites the affected nodes of its two
+  /// levels in place (rooted Refs keep their identity and function) and
+  /// frees exactly the nodes it orphans — no per-swap collection, rehash
+  /// or scan of the node array.  The computed table is cleared once, at
+  /// exit.  weights[v] scales the cost of a live node labelled v (missing
+  /// entries count 1.0) — pass per-variable switching activity to bias
+  /// the order toward low-power MUX networks.  May throw
+  /// NodeLimitExceeded mid-sift; the manager stays valid and garbage-free
+  /// (order moved only by completed swaps, functions preserved, the failed
+  /// swap's partial cofactors collected).
   struct SiftOptions {
     std::span<const double> weights{};
     /// Abandon a variable's walk when cost exceeds best × growth_limit.
@@ -254,12 +267,18 @@ class Manager {
   Ref ite_rec(Ref f, Ref g, Ref h);
   void grow_unique(std::size_t min_slots);
   void rebuild_unique();
+  void unique_insert(std::uint32_t idx);
+  /// Backward-shift deletion of a live node's slot (keys re-read from
+  /// nodes_, so call it before the node changes).
+  void unique_erase(std::uint32_t idx);
   /// Mark from roots + `pins`, sweep the rest to the free list, rebuild
   /// the unique table, clear the computed table.  Returns nodes swept.
   std::size_t collect(std::span<const Ref> pins);
   void maybe_gc(std::span<const Ref> pins);
-  /// One adjacent-level swap (levels l, l+1); updates per-var live counts.
-  void swap_levels(unsigned l, std::vector<std::size_t>& counts);
+  struct SiftState;
+  /// One adjacent-level swap (levels l, l+1): rewrites, re-keys and frees
+  /// nodes of those two levels only, keeping `st` exact.
+  void swap_levels(unsigned l, SiftState& st);
   void flush_metrics();
 
   // One computed-table entry; `f == kEmptySlot` marks unused.  Entries
@@ -301,6 +320,7 @@ class Manager {
   std::uint64_t gc_runs_ = 0;
   std::uint64_t gc_swept_ = 0;
   std::uint64_t sift_swaps_ = 0;
+  std::uint64_t sift_visited_ = 0;
 };
 
 }  // namespace lps::bdd

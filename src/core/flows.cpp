@@ -82,12 +82,12 @@ class StageRunner {
         metrics::count("flow.stages_kept");
         break;
       case TransformGuard::Outcome::Reverted:
-        rep = current(stage + " (reverted)");
+        rep = current(stage);
         rep.status = "reverted";
         metrics::count("flow.stages_reverted");
         break;
       case TransformGuard::Outcome::Failed:
-        rep = current(stage + " (failed)");
+        rep = current(stage);
         rep.status = "failed";
         rep.note = std::move(r.failure.message);
         metrics::count("flow.stages_failed");

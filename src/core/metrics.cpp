@@ -19,6 +19,12 @@ void Registry::set(std::string_view name, double value) {
   counters_[std::string(name)] = value;
 }
 
+void Registry::max(std::string_view name, double value) {
+  std::lock_guard lk(mu_);
+  auto [it, fresh] = counters_.try_emplace(std::string(name), value);
+  if (!fresh && value > it->second) it->second = value;
+}
+
 double Registry::value(std::string_view name) const {
   std::lock_guard lk(mu_);
   auto it = counters_.find(std::string(name));

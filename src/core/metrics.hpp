@@ -40,6 +40,9 @@ class Registry {
   void add(std::string_view name, double delta);
   /// Overwrite the named counter (gauge semantics).
   void set(std::string_view name, double value);
+  /// Raise the named counter to `value` if it is larger (high-water gauge;
+  /// created at `value` on first use).
+  void max(std::string_view name, double value);
   /// Current value of a counter; 0.0 when it was never touched.
   double value(std::string_view name) const;
   /// Append one event to the per-stage trace and accumulate its wall time
@@ -71,6 +74,10 @@ inline void count(std::string_view name, double delta = 1.0) {
 /// Gauge write on the global registry.
 inline void gauge(std::string_view name, double value) {
   Registry::global().set(name, value);
+}
+/// High-water gauge write on the global registry.
+inline void gauge_max(std::string_view name, double value) {
+  Registry::global().max(name, value);
 }
 /// Read a counter from the global registry.
 inline double value(std::string_view name) {

@@ -1,6 +1,7 @@
 #include "logicopt/bdd_synth.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -12,17 +13,7 @@
 
 namespace lps::logicopt {
 
-namespace {
-
-struct Cone {
-  NodeId root = kNoNode;
-  std::vector<NodeId> gates;    // cone logic in topological (post) order
-  std::vector<NodeId> sources;  // PIs/Dff outputs in DFS first-visit order
-};
-
-// Extraction roots: primary outputs and register D/EN fanins, deduplicated,
-// logic gates only (sources and registers have nothing to extract).
-std::vector<NodeId> cone_roots(const Netlist& net) {
+std::vector<NodeId> bdd_cone_roots(const Netlist& net) {
   std::vector<NodeId> roots;
   std::vector<bool> seen(net.size(), false);
   auto push = [&](NodeId n) {
@@ -43,8 +34,8 @@ std::vector<NodeId> cone_roots(const Netlist& net) {
 // arithmetic cones linear — and gates land in postorder, which is a valid
 // evaluation order for the cone.  Constants are neither: they lower to the
 // terminal directly.
-Cone extract_cone(const Netlist& net, NodeId root) {
-  Cone c;
+BddCone extract_bdd_cone(const Netlist& net, NodeId root) {
+  BddCone c;
   c.root = root;
   std::vector<bool> seen(net.size(), false);
   auto rec = [&](auto&& self, NodeId n) -> void {
@@ -62,16 +53,16 @@ Cone extract_cone(const Netlist& net, NodeId root) {
   return c;
 }
 
-// Build the cone's function bottom-up in a fresh manager and return the
-// rooted function of the cone root.  Every per-gate function is ref()'d as
-// soon as it exists (the auto-GC contract of bdd.hpp); once the root is
-// known the scaffolding is deref'd and collected, so sifting and the
-// peak-live watermark see only the root cone.
-bdd::Ref build_cone(bdd::Manager& m, const Netlist& net, const Cone& c,
-                    const std::unordered_map<NodeId, unsigned>& var_of) {
+// Every per-gate function is ref()'d as soon as it exists (the auto-GC
+// contract of bdd.hpp); once the root is known the scaffolding is deref'd
+// and collected, so sifting and the peak-live watermark see only the root
+// cone.
+bdd::Ref build_bdd_cone(bdd::Manager& m, const Netlist& net,
+                        const BddCone& c) {
   std::unordered_map<NodeId, bdd::Ref> fn;
   fn.reserve(c.gates.size() + c.sources.size());
-  for (const auto& [n, v] : var_of) fn.emplace(n, m.ref(m.var(v)));
+  for (unsigned v = 0; v < c.sources.size(); ++v)
+    fn.emplace(c.sources[v], m.ref(m.var(v)));
   auto in = [&](NodeId g) -> bdd::Ref {
     const Node& nd = net.node(g);
     if (nd.type == GateType::Const0) return bdd::kFalse;
@@ -122,8 +113,6 @@ bdd::Ref build_cone(bdd::Manager& m, const Netlist& net, const Cone& c,
   return root_fn;
 }
 
-}  // namespace
-
 BddSynthResult synthesize_bdd_cones(Netlist& net, const BddSynthOptions& opt) {
   core::metrics::ScopedTimer timer("logicopt.bdd_synth", /*trace=*/true);
   BddSynthResult res;
@@ -148,11 +137,15 @@ BddSynthResult synthesize_bdd_cones(Netlist& net, const BddSynthOptions& opt) {
   res.power_before_w = inc.analysis().report.breakdown.total_w();
   double cur_w = res.power_before_w;
 
-  for (NodeId root : cone_roots(net)) {
+  // One reference trace serves the whole pass: a cone is kept only when
+  // the circuit's trace still equals it.  Taken before the first candidate.
+  std::optional<sim::SimTrace> ref;
+
+  for (NodeId root : bdd_cone_roots(net)) {
     if (net.is_dead(root)) continue;  // swept behind an earlier kept cone
     ++res.cones_examined;
     core::metrics::count("logicopt.bdd_synth.cones");
-    Cone c = extract_cone(net, root);
+    BddCone c = extract_bdd_cone(net, root);
     if (c.sources.size() > cap) {
       ++res.cones_capped;
       core::metrics::count("logicopt.bdd_synth.capped");
@@ -163,12 +156,9 @@ BddSynthResult synthesize_bdd_cones(Netlist& net, const BddSynthOptions& opt) {
     cfg.node_limit = opt.node_limit;
     cfg.auto_gc = true;
     bdd::Manager m(static_cast<unsigned>(c.sources.size()), cfg);
-    std::unordered_map<NodeId, unsigned> var_of;
-    for (unsigned v = 0; v < c.sources.size(); ++v)
-      var_of.emplace(c.sources[v], v);
     bdd::Ref f;
     try {
-      f = build_cone(m, net, c, var_of);
+      f = build_bdd_cone(m, net, c);
       if (do_sift && !c.sources.empty()) {
         // Weight each variable by its measured switching activity (from
         // the *current* circuit — the oracle re-scores after every kept
@@ -191,19 +181,15 @@ BddSynthResult synthesize_bdd_cones(Netlist& net, const BddSynthOptions& opt) {
     }
     res.peak_live_nodes = std::max(res.peak_live_nodes, m.peak_live_nodes());
 
-    // Variable → netlist driver for the MUX selectors.
-    std::vector<NodeId> var_node(c.sources.begin(), c.sources.end());
-
     // Candidate epoch: splice the MUX network in place of the root, score
     // the dirty cone, prove the outputs, keep only a strict power win.
     const std::uint64_t digest0 = inc.outputs_digest();
-    sim::SimTrace ref;
-    if (opt.verify_frames != 0)
+    if (opt.verify_frames != 0 && !ref)
       ref = sim::functional_trace(net, opt.verify_frames, opt.verify_seed);
     net.begin_undo();
     double after_w = 0.0;
     try {
-      NodeId nr = bdd::synthesize_bdd(net, m, f, var_node);
+      NodeId nr = bdd::synthesize_bdd(net, m, f, c.sources);
       net.substitute(root, nr);
       net.sweep();
       after_w = inc.score_candidate(net.touched_nodes());
@@ -213,11 +199,14 @@ BddSynthResult synthesize_bdd_cones(Netlist& net, const BddSynthOptions& opt) {
       net.rollback_undo();
       throw;
     }
+    // The digest proof runs on every candidate; the interpreter trace only
+    // on a power winner — a loser rolls back either way.
+    const bool wins = cur_w - after_w > opt.min_gain_w;
     bool sound = inc.outputs_digest() == digest0;
-    if (sound && opt.verify_frames != 0)
+    if (sound && wins && ref)
       sound = sim::functional_trace(net, opt.verify_frames,
-                                    opt.verify_seed) == ref;
-    if (sound && cur_w - after_w > opt.min_gain_w) {
+                                    opt.verify_seed) == *ref;
+    if (sound && wins) {
       net.commit_undo();
       cur_w = after_w;
       ++res.kept;

@@ -31,9 +31,14 @@
 // Soundness: every kept cone is proven twice — the oracle's primary-output
 // stream digest (IncrementalAnalyzer::outputs_digest) must be unchanged
 // after the cone re-simulation, and a whole-netlist interpreter trace
-// (sim::functional_trace over verify_frames) must match the pre-candidate
-// one.  A proof failure rolls the candidate back and counts `unsound`; a
-// defect can cost an optimization, never correctness.
+// (sim::functional_trace over verify_frames) must match the reference
+// trace.  The reference is taken once per run, before the first candidate:
+// a cone is kept only when the circuit's trace still equals it, so it stays
+// valid for every later candidate.  The digest proof runs on every
+// candidate; the trace proof only on a power winner, since a loser rolls
+// back whatever its trace says.  A proof failure rolls the candidate back
+// and counts `unsound` (digest failures on any candidate, trace failures on
+// winners); a defect can cost an optimization, never correctness.
 //
 // Determinism: the engine is sequential and owns a private ZeroDelay
 // oracle seeded from the options, so the kept-cone sequence is a pure
@@ -45,7 +50,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "bdd/bdd.hpp"
 #include "netlist/netlist.hpp"
 
 namespace lps::logicopt {
@@ -68,8 +75,8 @@ struct BddSynthOptions {
   std::uint64_t seed = 7;
   /// Keep a cone only when it saves strictly more than this (watts).
   double min_gain_w = 0.0;
-  /// Interpreter re-proof stimulus per candidate (0 disables the trace
-  /// proof; the PO-stream digest proof always runs).
+  /// Interpreter re-proof stimulus for each power-winning candidate (0
+  /// disables the trace proof; the PO-stream digest proof always runs).
   std::size_t verify_frames = 256;
   std::uint64_t verify_seed = 17;
 };
@@ -92,6 +99,25 @@ struct BddSynthResult {
   /// One-line diagnostic describing any cap that was hit; empty otherwise.
   std::string note;
 };
+
+/// One extraction cone: the root's transitive fanin down to primary inputs
+/// and register outputs.
+struct BddCone {
+  NodeId root = kNoNode;
+  std::vector<NodeId> gates;    // cone logic in topological (post) order
+  std::vector<NodeId> sources;  // fanin-first DFS order; BDD variable v
+                                // is sources[v]
+};
+
+/// Extraction roots in the engine's order: primary outputs, then register
+/// D/EN fanins — logic gates only, deduplicated.
+std::vector<NodeId> bdd_cone_roots(const Netlist& net);
+BddCone extract_bdd_cone(const Netlist& net, NodeId root);
+/// Build c's root function in m (m.num_vars() >= c.sources.size()) and
+/// return it rooted, with the per-gate scaffolding collected: the manager
+/// the engine sifts.  Throws bdd::NodeLimitExceeded past m's budget.
+bdd::Ref build_bdd_cone(bdd::Manager& m, const Netlist& net,
+                        const BddCone& c);
 
 /// Run hybrid BDD→MUX extraction in place.  Mutations nest correctly
 /// inside a caller's active undo epoch (each cone runs in an inner epoch).

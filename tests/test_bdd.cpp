@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <random>
+#include <string>
+#include <unordered_map>
 
 #include "bdd/bdd.hpp"
 #include "bdd/bdd_netlist.hpp"
 #include "core/metrics.hpp"
+#include "logicopt/bdd_synth.hpp"
 #include "netlist/benchmarks.hpp"
 #include "sim/logicsim.hpp"
 
@@ -309,6 +313,207 @@ TEST(Bdd, SiftingPreservesFunctionsAndShrinksBlockedOrder) {
   check();
 }
 
+// ---- sifting pinned on the E27 family's cones ---------------------------
+
+// Truth table of f over all of m's variables: bit a of the table is f under
+// the assignment whose variable v is bit v of a.
+std::vector<std::uint64_t> truth_table(const bdd::Manager& m, bdd::Ref f) {
+  static constexpr std::uint64_t kLane[6] = {
+      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  const unsigned n = m.num_vars();
+  const std::size_t words = n >= 6 ? std::size_t{1} << (n - 6) : 1;
+  const std::uint64_t full =
+      n >= 6 ? ~0ull : (std::uint64_t{1} << (1u << n)) - 1;
+  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> memo;
+  memo.emplace(0u, std::vector<std::uint64_t>(words, 0));  // regular = FALSE
+  auto rec = [&](auto&& self,
+                 std::uint32_t idx) -> const std::vector<std::uint64_t>& {
+    if (auto it = memo.find(idx); it != memo.end()) return it->second;
+    const bdd::Manager::Node nd = m.node(bdd::Ref{idx} << 1);
+    const auto& lo = self(self, bdd::index_of(nd.lo));
+    const auto& hi = self(self, bdd::index_of(nd.hi));
+    const std::uint64_t lc = bdd::is_complemented(nd.lo) ? full : 0;
+    const std::uint64_t hc = bdd::is_complemented(nd.hi) ? full : 0;
+    std::vector<std::uint64_t> t(words);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t x = nd.var < 6 ? kLane[nd.var]
+                        : ((w >> (nd.var - 6)) & 1) ? ~0ull : 0;
+      t[w] = ((x & (hi[w] ^ hc)) | (~x & (lo[w] ^ lc))) & full;
+    }
+    return memo.emplace(idx, std::move(t)).first->second;
+  };
+  std::vector<std::uint64_t> out = rec(rec, bdd::index_of(f));
+  if (bdd::is_complemented(f))
+    for (auto& w : out) w ^= full;
+  return out;
+}
+
+// Per-variable counts of the nodes reachable from `roots`.
+std::vector<std::size_t> reachable_per_var(const bdd::Manager& m,
+                                           const std::vector<bdd::Ref>& roots) {
+  std::vector<std::size_t> counts(m.num_vars(), 0);
+  std::vector<bool> seen(m.num_nodes(), false);
+  std::vector<std::uint32_t> stack;
+  for (bdd::Ref r : roots) stack.push_back(bdd::index_of(r));
+  while (!stack.empty()) {
+    std::uint32_t i = stack.back();
+    stack.pop_back();
+    if (i == 0 || seen[i]) continue;
+    seen[i] = true;
+    const auto& nd = m.node(bdd::Ref{i} << 1);
+    ++counts[nd.var];
+    stack.push_back(bdd::index_of(nd.lo));
+    stack.push_back(bdd::index_of(nd.hi));
+  }
+  return counts;
+}
+
+// A sifted manager holds its rooted functions and nothing else: no garbage
+// for gc() to sweep, and live nodes = the reachable per-variable counts.
+void expect_garbage_free(bdd::Manager& m, const std::vector<bdd::Ref>& roots,
+                         const std::string& what) {
+  auto counts = reachable_per_var(m, roots);
+  std::size_t sum = 0;
+  for (std::size_t c : counts) sum += c;
+  EXPECT_EQ(m.live_nodes(), sum) << what;
+  EXPECT_EQ(m.gc(), 0u) << what;
+}
+
+std::vector<std::pair<std::string, Netlist>> e27_family() {
+  std::vector<std::pair<std::string, Netlist>> fam;
+  fam.emplace_back("mult4", bench::array_multiplier(4));
+  fam.emplace_back("alu4", bench::alu(4));
+  fam.emplace_back("addsub8", bench::alu_addsub(8));
+  fam.emplace_back("dct8", bench::dct_butterfly(8));
+  fam.emplace_back("cmp8", bench::comparator_gt(8));
+  fam.emplace_back("csel16", bench::carry_select_adder(16, 4));
+  return fam;
+}
+
+// Fixed per-variable weights in the range of switching activities.
+std::vector<double> pinned_weights(std::size_t n) {
+  std::vector<double> w(n);
+  for (std::size_t v = 0; v < n; ++v)
+    w[v] = 1e-3 + static_cast<double>((v * 7 + 3) % 11) / 10.0;
+  return w;
+}
+
+// What one (circuit, weighting) sift run produced, summed over its cones;
+// order_digest hashes every cone's final var_order().
+struct SiftPin {
+  std::string circuit;
+  bool weighted;
+  std::size_t cones, size, swaps, peak;
+  std::uint64_t order_digest;
+};
+
+bool operator==(const SiftPin& a, const SiftPin& b) {
+  return a.circuit == b.circuit && a.weighted == b.weighted &&
+         a.cones == b.cones && a.size == b.size && a.swaps == b.swaps &&
+         a.peak == b.peak && a.order_digest == b.order_digest;
+}
+
+std::ostream& operator<<(std::ostream& os, const SiftPin& p) {
+  return os << "{\"" << p.circuit << "\", " << (p.weighted ? "true" : "false")
+            << ", " << p.cones << ", " << p.size << ", " << p.swaps << ", "
+            << p.peak << ", 0x" << std::hex << p.order_digest << std::dec
+            << "ull}";
+}
+
+TEST(Bdd, SiftPinnedOnE27FamilyCones) {
+  // Final orders, sizes, swap counts and peak live nodes of the engine's
+  // cone builds (18-input cap), recorded before sifting became level-local:
+  // the cost sequence is canonical, so every one of them is exact.
+  const std::vector<SiftPin> expected = {
+      {"mult4", false, 8, 146, 656, 1344, 0x717daf33588e999dull},
+      {"mult4", true, 8, 167, 639, 1344, 0x7f20668021021ba5ull},
+      {"alu4", false, 4, 43, 394, 85, 0x15899d955091dab3ull},
+      {"alu4", true, 4, 43, 399, 85, 0xa62a2eac7437fadbull},
+      {"addsub8", false, 9, 215, 2433, 537, 0xd0fbba4df8c8b615ull},
+      {"addsub8", true, 9, 215, 2436, 537, 0xbd74c4efa7d0a7ddull},
+      {"dct8", false, 18, 232, 3936, 652, 0x242173709d2c83d3ull},
+      {"dct8", true, 18, 232, 3924, 652, 0xfbb04ad67760c91bull},
+      {"cmp8", false, 1, 23, 480, 255, 0x181371f7eaaaa01eull},
+      {"cmp8", true, 1, 23, 478, 255, 0x5ec1f1864fdd47eaull},
+      {"csel16", false, 8, 117, 1860, 454, 0xc971cd06feca56dfull},
+      {"csel16", true, 8, 114, 1865, 454, 0xa370d0266186a3e1ull},
+  };
+  std::vector<SiftPin> got;
+  for (const auto& [name, net] : e27_family()) {
+    for (bool weighted : {false, true}) {
+      SiftPin pin{name, weighted, 0, 0, 0, 0, 0xcbf29ce484222325ull};
+      for (NodeId root : logicopt::bdd_cone_roots(net)) {
+        logicopt::BddCone c = logicopt::extract_bdd_cone(net, root);
+        if (c.sources.size() > 18) continue;  // the engine's support cap
+        bdd::Config cfg = bdd::default_config();
+        cfg.node_limit = std::size_t{1} << 20;
+        cfg.auto_gc = true;
+        bdd::Manager m(static_cast<unsigned>(c.sources.size()), cfg);
+        bdd::Ref f = logicopt::build_bdd_cone(m, net, c);
+        auto before = truth_table(m, f);
+        std::vector<double> w = pinned_weights(c.sources.size());
+        bdd::Manager::SiftOptions so;
+        if (weighted) so.weights = w;
+        m.sift(so);
+        const std::string what = name + " root " + std::to_string(root);
+        ASSERT_EQ(truth_table(m, f), before) << what;
+        expect_garbage_free(m, {f}, what);
+        ++pin.cones;
+        pin.size += m.size(f);
+        pin.swaps += m.sift_swaps();
+        pin.peak += m.peak_live_nodes();
+        for (unsigned v : m.var_order())
+          pin.order_digest = (pin.order_digest ^ (v + 1)) * 0x100000001b3ull;
+        pin.order_digest = (pin.order_digest ^ 0xFFu) * 0x100000001b3ull;
+      }
+      got.push_back(pin);
+    }
+  }
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], expected[i]);
+}
+
+TEST(Bdd, SiftNodeLimitMidSiftLeavesNoGarbage) {
+  // x0x1 + x2x3 + ... + x14x15, built bottom pair first in its best
+  // (interleaved) order: every step reuses the tail, so the build stays
+  // near the final size, while sifting x0 down through the order nearly
+  // doubles the DAG and runs into the budget.
+  auto build = [](bdd::Manager& m) {
+    bdd::Ref f = m.ref(kFalse);
+    for (unsigned k = 8; k-- > 0;) {
+      bdd::Ref t = m.ref(m.lor(m.land(m.var(2 * k), m.var(2 * k + 1)), f));
+      m.deref(f);
+      m.gc();
+      f = t;
+    }
+    return f;
+  };
+  bdd::Manager probe(16);
+  bdd::Ref pf = build(probe);
+  const std::size_t limit = probe.peak_live_nodes() + 2;
+  bdd::Manager m(16, limit);
+  bdd::Ref f = build(m);
+  auto before = truth_table(m, f);
+  EXPECT_THROW(m.sift(), bdd::NodeLimitExceeded);
+  EXPECT_EQ(m.sift_swaps(), 5u);  // pinned: where the budget is hit
+  EXPECT_EQ(truth_table(m, f), before);
+  expect_garbage_free(m, {f}, "after the throw");
+  // Still usable: the order is a permutation, and new work fits the budget
+  // once the old function is dropped.
+  auto ord = m.var_order();
+  std::sort(ord.begin(), ord.end());
+  for (unsigned v = 0; v < 16; ++v) EXPECT_EQ(ord[v], v);
+  EXPECT_EQ(truth_table(m, m.lnot(f)), truth_table(probe, probe.lnot(pf)));
+  m.deref(f);
+  m.gc();
+  EXPECT_EQ(m.live_nodes(), 0u);
+  bdd::Ref g = m.land(m.var(0), m.var(15));
+  EXPECT_EQ(truth_table(m, g),
+            truth_table(probe, probe.land(probe.var(0), probe.var(15))));
+}
+
 TEST(Bdd, CountersFlushOnClearCachesAndDestruction) {
   core::metrics::reset();
   double after_clear = 0.0;
@@ -322,6 +527,16 @@ TEST(Bdd, CountersFlushOnClearCachesAndDestruction) {
   }  // destructor flushes what accrued after the clear — no double count
   EXPECT_GT(core::metrics::value("bdd.nodes"), after_clear);
   EXPECT_EQ(core::metrics::value("bdd.managers"), 1.0);
+}
+
+TEST(Bdd, PeakLiveReportsTheLargestManagerNotTheSum) {
+  core::metrics::reset();
+  for (unsigned n : {10u, 20u}) {
+    bdd::Manager m(n);
+    for (unsigned v = 0; v < n; ++v) m.var(v);  // one node per projection
+    EXPECT_EQ(m.peak_live_nodes(), n);
+  }
+  EXPECT_EQ(core::metrics::value("bdd.peak_live"), 20.0);
 }
 
 TEST(Bdd, HalvedNodeLimitSucceedsWithComplementAndGc) {

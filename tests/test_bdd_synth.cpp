@@ -51,6 +51,26 @@ TEST(BddSynth, KeptConesAreInterpreterExact) {
   }
 }
 
+// The interpreter trace is taken once per run and re-checked only on power
+// winners: on sound code it never changes a decision, so the run with the
+// trace proof equals the run without it, kept cone for kept cone.
+TEST(BddSynth, TraceProofOnWinnersKeepsTheSameCones) {
+  std::size_t kept = 0;
+  for (const auto& [name, orig] : family()) {
+    Netlist proved = orig.clone(), unproved = orig.clone();
+    logicopt::BddSynthOptions off;
+    off.verify_frames = 0;
+    auto rp = logicopt::synthesize_bdd_cones(proved);
+    auto ru = logicopt::synthesize_bdd_cones(unproved, off);
+    EXPECT_EQ(rp.kept, ru.kept) << name;
+    EXPECT_EQ(rp.reverted, ru.reverted) << name;
+    EXPECT_EQ(rp.unsound, 0u) << name;
+    EXPECT_EQ(structural_hash(proved), structural_hash(unproved)) << name;
+    kept += rp.kept;
+  }
+  EXPECT_GT(kept, 0u) << "no winner: the trace proof never ran";
+}
+
 // The engine never leaves journal epochs open or half-applied candidates:
 // running inside a caller's epoch and rolling that epoch back restores the
 // input circuit exactly.

@@ -265,6 +265,21 @@ TEST(Flows, RealFlowStagesCarryAStatus) {
   EXPECT_EQ(r.stages.front().status, "kept");  // input row is the baseline
 }
 
+TEST(Flows, StageNamesCarryNoStatusSuffix) {
+  // The outcome lives in `status` alone; a stage keeps its bare name
+  // whether it was kept, reverted or failed.
+  auto net = bench::array_multiplier(4);
+  FlowOptions opt;
+  opt.sim_vectors = 256;
+  auto r = optimize_combinational(net, opt);
+  std::size_t not_kept = 0;
+  for (const auto& s : r.stages) {
+    EXPECT_EQ(s.stage.find('('), std::string::npos) << s.stage;
+    not_kept += s.status != "kept";
+  }
+  EXPECT_GT(not_kept, 0u) << "no reverted stage: the check above is vacuous";
+}
+
 TEST(Flows, CombinationalFlowNeverHurtsAndUsuallySaves) {
   auto net = bench::array_multiplier(4);
   FlowOptions opt;

@@ -34,6 +34,16 @@ TEST(Metrics, GaugeOverwritesInsteadOfAccumulating) {
   EXPECT_DOUBLE_EQ(value("t.gauge"), 3.0);
 }
 
+TEST(Metrics, GaugeMaxKeepsTheHighWaterMark) {
+  reset();
+  gauge_max("t.peak", 10.0);
+  gauge_max("t.peak", 20.0);
+  gauge_max("t.peak", 5.0);
+  EXPECT_DOUBLE_EQ(value("t.peak"), 20.0);
+  gauge_max("t.negative", -3.0);  // created at the first value, not at 0
+  EXPECT_DOUBLE_EQ(value("t.negative"), -3.0);
+}
+
 TEST(Metrics, RecordStageKeepsOrderAndFeedsTimeCounter) {
   reset();
   Registry::global().record_stage("strash", 1.5);
